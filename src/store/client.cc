@@ -39,7 +39,6 @@ TraceContext Client::StartOpTrace(const std::string& name,
   const int where = static_cast<int>(cluster_->client_endpoint());
   const SimTime now = cluster_->simulation().Now();
   if (parent) return tracer.StartSpan(parent, name, where, now);
-  if (!cluster_->config().trace_client_ops) return {};
   return tracer.StartTrace(name, where, now);
 }
 

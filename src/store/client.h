@@ -13,10 +13,10 @@
 // and delivering one ReadResult; writes take a WriteOptions and deliver a
 // WriteResult. (The pre-ISSUE-9 ViewGet/IndexGet forwarders are gone; spell
 // reads as Query(QuerySpec::View/Index(...), ...).)
-// Both options structs carry an optional parent TraceContext;
-// when none is given (and the cluster's `trace_client_ops` is on) the client
-// mints a fresh root trace per operation, whose id comes back in the result
-// so callers can dump the causal timeline (Tracer::DumpJson).
+// Both options structs carry an optional parent TraceContext; when none is
+// given the client mints a fresh root trace per operation (none when the
+// cluster's `trace_capacity` is 0), whose id comes back in the result so
+// callers can dump the causal timeline (Tracer::DumpJson).
 //
 // ## The freshness contract
 //
@@ -90,7 +90,7 @@ struct ReadOptions {
   SimTime timeout = 0;
   /// Explicit parent span: the operation's span becomes its child, letting
   /// callers stitch several operations into one causal trace. Null = mint a
-  /// root trace (when the cluster's `trace_client_ops` is enabled).
+  /// root trace.
   TraceContext trace;
   /// Consistency level (see the freshness-contract comment above).
   ReadConsistency consistency = ReadConsistency::kEventual;
@@ -324,7 +324,7 @@ class Client {
                  ReadCallback callback);
 
   /// The operation's span: a child of `parent` when given, else a fresh root
-  /// trace (when config().trace_client_ops allows), else null.
+  /// trace (null when tracing is disabled).
   TraceContext StartOpTrace(const std::string& name,
                             const TraceContext& parent);
 

@@ -215,9 +215,6 @@ struct ClusterConfig {
   /// propagations before the router gives up on the view and falls back to
   /// the SI/base-table path.
   SimTime freshness_wait_max = Millis(100);
-  /// EWMA smoothing factor for the per-view propagation-lag estimate that
-  /// feeds the router's cost model.
-  double freshness_lag_alpha = 0.2;
   /// Adaptive MV/SI routing: when the observed propagation lag for a view
   /// exceeds a read's staleness bound, route to the SI/base path at once
   /// instead of burning the whole wait budget first. Off = always wait out
@@ -252,10 +249,6 @@ struct ClusterConfig {
   /// Capacity of the cluster's causal-trace event ring buffer (spans);
   /// 0 disables tracing entirely.
   std::size_t trace_capacity = 65536;
-  /// Mint a root trace for every client operation. When false, only
-  /// operations given an explicit TraceContext (ReadOptions/WriteOptions)
-  /// are traced.
-  bool trace_client_ops = true;
   /// Period of the cluster's metrics time-series sampler (per-interval
   /// registry deltas into Metrics::time_series); 0 disables (the default).
   SimTime metrics_sample_interval = 0;

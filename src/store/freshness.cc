@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "store/codec.h"
 #include "store/metrics.h"
 
 namespace mvstore::store {
@@ -125,23 +124,6 @@ Timestamp FreshnessTracker::FreshAsOf(const std::string& view,
   for (std::uint64_t id : view_it->second) {
     const Intent& intent = intents_.at(id);
     if (!Covers(intent, partition)) continue;
-    fresh = std::min(fresh, intent.ts - 1);
-  }
-  return fresh;
-}
-
-Timestamp FreshnessTracker::FreshAsOfShard(const std::string& view,
-                                           const Key& partition, int shard,
-                                           int shard_count,
-                                           Timestamp now_ts) const {
-  if (shard_count <= 1) return FreshAsOf(view, partition, now_ts);
-  Timestamp fresh = now_ts;
-  auto view_it = by_view_.find(view);
-  if (view_it == by_view_.end()) return fresh;
-  for (std::uint64_t id : view_it->second) {
-    const Intent& intent = intents_.at(id);
-    if (!Covers(intent, partition)) continue;
-    if (ShardOfBaseKey(intent.base_key, shard_count) != shard) continue;
     fresh = std::min(fresh, intent.ts - 1);
   }
   return fresh;

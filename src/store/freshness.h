@@ -11,7 +11,7 @@
 // at bound B then has an exact question to ask: is there an unsettled
 // intent older than now - B that could reach my partition? If not, the
 // view is provably fresh enough; if so, the coordinator waits, repairs, or
-// routes around the view (view/maintenance_engine.cc's policy ladder).
+// routes around the view (view/view_reader.cc's policy ladder).
 //
 // The tracker is engine-central, modeling the per-partition tracker shards
 // a real cluster would colocate with the view partition replicas: intent
@@ -23,8 +23,7 @@
 //
 // Section V's per-coordinator session bookkeeping is subsumed: a session's
 // "my own writes" set is the set of intents registered under (origin,
-// session), so view::SessionManager is now a facade over the session layer
-// here (one origin's slice of it).
+// session), kept by the session layer here.
 
 #ifndef MVSTORE_STORE_FRESHNESS_H_
 #define MVSTORE_STORE_FRESHNESS_H_
@@ -71,8 +70,8 @@ enum class ServedBy {
 /// file comment for what each piece models.
 class FreshnessTracker {
  public:
-  /// `metrics` may be null (standalone SessionManager construction in unit
-  /// tests); instrument updates are then skipped.
+  /// `metrics` may be null (standalone construction in unit tests);
+  /// instrument updates are then skipped.
   explicit FreshnessTracker(Metrics* metrics = nullptr);
 
   FreshnessTracker(const FreshnessTracker&) = delete;
@@ -126,17 +125,11 @@ class FreshnessTracker {
 
   /// The freshness a read of (view, partition) at wall-clock `now_ts` may
   /// claim: just below the oldest unsettled intent that can reach the
-  /// partition, or `now_ts` when none is pending.
+  /// partition, or `now_ts` when none is pending. For a sub-sharded view
+  /// this is exactly the min over the sub-shards, since every intent routes
+  /// to one of them.
   Timestamp FreshAsOf(const std::string& view, const Key& partition,
                       Timestamp now_ts) const;
-
-  /// Per-sub-shard FreshAsOf for sharded views (ISSUE 9): like FreshAsOf
-  /// but only intents whose base key hashes into `shard` (of `shard_count`)
-  /// count — an intent routed to another sub-shard cannot affect this one.
-  /// A scatter-gather read's freshness claim is the min of this over the
-  /// shards it actually merged. Identical to FreshAsOf when shard_count<=1.
-  Timestamp FreshAsOfShard(const std::string& view, const Key& partition,
-                           int shard, int shard_count, Timestamp now_ts) const;
 
   struct BlockerSummary {
     int live = 0;     ///< propagations still in flight
@@ -170,8 +163,8 @@ class FreshnessTracker {
   std::size_t pending_intents() const { return intents_.size(); }
 
   // -------------------------------------------------------------------
-  // Session layer (Section V, Definition 4) — per-origin slices, fronted
-  // by view::SessionManager.
+  // Session layer (Section V, Definition 4) — per-origin slices, one per
+  // coordinator (the reader defers on it, the engine resets it on crash).
   // -------------------------------------------------------------------
 
   void SessionStarted(ServerId origin, SessionId session,

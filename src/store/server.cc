@@ -714,10 +714,11 @@ void Server::CoordinateViewScatterScan(
 }
 
 // ---------------------------------------------------------------------------
-// Broadcast secondary-index lookup: a QuorumOp policy whose quorum is ALL
-// fragments (every server holds part of the index). The framework's slot
-// dedupe also closes the old hole where a replayed fragment response could
-// count twice toward completion.
+// Broadcast match (secondary-index lookup, base-table match scan): a
+// QuorumOp policy whose quorum is ALL fragments (every server holds part of
+// the index and of the table). The framework's slot dedupe also closes the
+// old hole where a replayed fragment response could count twice toward
+// completion.
 // ---------------------------------------------------------------------------
 
 void Server::HandleClientIndexGet(
@@ -735,62 +736,35 @@ void Server::HandleClientIndexGet(
   auto reply = WrapReply(std::move(callback));
   Enqueue(config_->perf.coordinator_op, [this, table, column, value,
                                          reply = std::move(reply)]() mutable {
-    CoordinateIndexScan(table, column, value, std::move(reply));
+    CoordinateBroadcastMatch("index_scan", &Server::LocalIndexProbe,
+                             config_->perf.index_scan_local,
+                             "index fragments unreachable", table, column,
+                             value, std::move(reply));
   });
 }
 
-void Server::CoordinateIndexScan(
-    const std::string& table, const ColumnName& column, const Value& value,
+void Server::CoordinateBroadcastMatch(
+    std::string name, MatchProbe probe, SimTime service,
+    std::string quorum_error, const std::string& table,
+    const ColumnName& column, const Value& value,
     std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback) {
   using Op = QuorumOp<std::vector<storage::KeyedRow>>;
   Op::Spec spec;
-  spec.name = "index_scan";
+  spec.name = std::move(name);
   // Every CURRENT ring member holds a fragment; servers that left (or
   // never joined) hold nothing and would only stall the full-broadcast
   // quorum.
   spec.targets.assign(ring_->members().begin(), ring_->members().end());
   spec.quorum = static_cast<int>(spec.targets.size());
-  spec.service = config_->perf.index_scan_local;
-  spec.request = [table, column, value](Server& server) {
-    return server.LocalIndexProbe(table, column, value);
+  spec.service = service;
+  spec.request = [probe, table, column, value](Server& server) {
+    return (server.*probe)(table, column, value);
   };
-  spec.quorum_error = "index fragments unreachable";
+  spec.quorum_error = std::move(quorum_error);
   spec.on_quorum = [column, value, callback](Op& op) {
     // A fragment may return keys whose globally-latest value no longer
     // matches (its replica was stale); filter on the merged image, as
     // Cassandra's coordinator re-checks index hits.
-    std::map<Key, storage::Row> merged = MergeScanResponses(op.responses());
-    std::vector<storage::KeyedRow> rows;
-    for (auto& [key, row] : merged) {
-      auto current = row.GetValue(column);
-      if (!current || *current != value) continue;
-      rows.push_back(storage::KeyedRow{key, std::move(row)});
-    }
-    callback(std::move(rows));
-  };
-  spec.on_error = [callback = std::move(callback)](Op&,
-                                                   const Status& status) {
-    callback(status);
-  };
-  Op::Start(this, std::move(spec));
-}
-
-void Server::CoordinateBaseMatchScan(
-    const std::string& table, const ColumnName& column, const Value& value,
-    std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback) {
-  using Op = QuorumOp<std::vector<storage::KeyedRow>>;
-  Op::Spec spec;
-  spec.name = "base_match_scan";
-  // Same broadcast shape as the index scan, but every server walks its whole
-  // local fragment of the table — the router's priced-in worst case.
-  spec.targets.assign(ring_->members().begin(), ring_->members().end());
-  spec.quorum = static_cast<int>(spec.targets.size());
-  spec.service = config_->perf.base_scan_local;
-  spec.request = [table, column, value](Server& server) {
-    return server.LocalMatchScan(table, column, value);
-  };
-  spec.quorum_error = "base-scan replicas unreachable";
-  spec.on_quorum = [column, value, callback](Op& op) {
     std::map<Key, storage::Row> merged = MergeScanResponses(op.responses());
     std::vector<storage::KeyedRow> rows;
     for (auto& [key, row] : merged) {

@@ -273,21 +273,21 @@ class Server {
       int read_quorum, bool allow_partial,
       std::function<void(StatusOr<ScatterScanResult>)> callback);
 
-  /// Secondary-index probe as a coordinator primitive: broadcast to every
-  /// ring member, probe local index fragments, merge, re-filter. The inner
-  /// machinery of HandleClientIndexGet, exposed so the bounded-read router
-  /// can fall back to the SI path (ISSUE 7).
-  void CoordinateIndexScan(
-      const std::string& table, const ColumnName& column, const Value& value,
-      std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback);
+  /// A local probe of `table` for rows whose `column` equals `value`:
+  /// LocalIndexProbe (index fragment) or LocalMatchScan (whole fragment).
+  using MatchProbe = std::vector<storage::KeyedRow> (Server::*)(
+      const std::string& table, const ColumnName& column, const Value& value);
 
-  /// Last-resort fallback when no secondary index covers the routed column:
-  /// broadcast a full local match-scan of `table` (every row visited, at
-  /// `perf.base_scan_local` per server) and merge. Deliberately expensive —
-  /// the router only picks it when the view cannot satisfy a bound and no
-  /// SI exists.
-  void CoordinateBaseMatchScan(
-      const std::string& table, const ColumnName& column, const Value& value,
+  /// Broadcast match as a coordinator primitive: every ring member runs
+  /// `probe` at `service` each, and the merged image is re-filtered on
+  /// `column` == `value`. The machinery of HandleClientIndexGet, also the
+  /// bounded-read router's SI path and, when no index covers the column,
+  /// its deliberately expensive base-table fallback. `name` names the
+  /// quorum op (and its trace span); `quorum_error` is its failure message.
+  void CoordinateBroadcastMatch(
+      std::string name, MatchProbe probe, SimTime service,
+      std::string quorum_error, const std::string& table,
+      const ColumnName& column, const Value& value,
       std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback);
 
   // ---------------------------------------------------------------------

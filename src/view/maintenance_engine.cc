@@ -7,15 +7,25 @@
 #include "common/logging.h"
 #include "storage/cell.h"
 #include "store/codec.h"
-#include "view/aggregate.h"
 #include "view/scrub.h"
-#include "view/view_row.h"
 
 namespace mvstore::view {
 
 namespace {
 using storage::Cell;
-using storage::Row;
+
+/// EWMA smoothing factor of the per-view propagation-lag estimate that
+/// feeds the bounded-read router (tracker sampling and gossip merges).
+constexpr double kLagAlpha = 0.2;
+
+/// Serialization resource name of a (view, base key) family: one lock / one
+/// queue per family (Section IV-F).
+std::string FamilyResource(const std::string& view, const Key& base_key) {
+  std::string resource = view;
+  resource.push_back('\0');
+  resource += base_key;
+  return resource;
+}
 }  // namespace
 
 MaintenanceEngine::MaintenanceEngine(store::Cluster* cluster)
@@ -24,15 +34,12 @@ MaintenanceEngine::MaintenanceEngine(store::Cluster* cluster)
       locks_(&cluster->simulation(), &cluster->network(),
              cluster->lock_service_endpoint(), Micros(120),
              cluster->config().lock_lease_ttl),
+      reader_(cluster,
+              [this](const std::string& view, const Key& base_key) {
+                return FamilyInFlight(view, base_key);
+              }),
       row_queues_(static_cast<std::size_t>(cluster->num_servers())) {
   locks_.set_expired_counter(&cluster->metrics().locks_expired);
-  sessions_.reserve(static_cast<std::size_t>(cluster->num_servers()));
-  for (int i = 0; i < cluster->num_servers(); ++i) {
-    // Each coordinator's session facade fronts its slice of the cluster-wide
-    // freshness tracker (ISSUE 7).
-    sessions_.push_back(std::make_unique<SessionManager>(
-        &cluster->freshness(), static_cast<ServerId>(i)));
-  }
   // Background owned-range scrub: one staggered tick chain per server.
   const SimTime scrub_interval = cluster->config().view_scrub_interval;
   if (scrub_interval > 0) {
@@ -49,10 +56,12 @@ MaintenanceEngine::MaintenanceEngine(store::Cluster* cluster)
 }
 
 std::string MaintenanceEngine::ResourceOf(const PropagationTask& task) {
-  std::string resource = task.view->name;
-  resource.push_back('\0');
-  resource += task.base_key;
-  return resource;
+  return FamilyResource(task.view->name, task.base_key);
+}
+
+bool MaintenanceEngine::FamilyInFlight(const std::string& view,
+                                       const Key& base_key) const {
+  return active_per_resource_.count(FamilyResource(view, base_key)) != 0;
 }
 
 SimTime MaintenanceEngine::RetryDelay(const PropagationTask& task) const {
@@ -597,7 +606,7 @@ void MaintenanceEngine::OnServerCrash(store::Server* server) {
     }
   }
   row_queues_[id].clear();
-  sessions_[id]->Reset();
+  cluster_->freshness().ResetSessions(id);
 }
 
 void MaintenanceEngine::OnServerRestart(store::Server* server) {
@@ -653,7 +662,7 @@ void MaintenanceEngine::OnServerLeave(store::Server* server) {
     }
   }
   row_queues_[id].clear();
-  sessions_[id]->Reset();
+  cluster_->freshness().ResetSessions(id);
   // Recovery of the orphaned families follows the same path as after a
   // crash: every one of them has a (new) primary owner in the ring, whose
   // periodic owned-range scrub re-derives the view rows. Clusters that
@@ -668,10 +677,7 @@ std::size_t MaintenanceEngine::RunOwnedRangeScrub(ServerId server) {
       recovered += ScrubOwnedRanges(
           *cluster_, *view, server,
           [this, view](const Key& base_key) {
-            std::string resource = view->name;
-            resource.push_back('\0');
-            resource += base_key;
-            return active_per_resource_.count(resource) != 0;
+            return FamilyInFlight(view->name, base_key);
           },
           [this, view](const Key& base_key) {
             // The audit proved the family matches Definition 1: clear its
@@ -887,298 +893,12 @@ void MaintenanceEngine::PumpRowQueue(ServerId propagator,
       });
 }
 
-// ---------------------------------------------------------------------------
-// Algorithm 4: reading from a versioned view.
-// ---------------------------------------------------------------------------
-
 void MaintenanceEngine::HandleViewGet(
     store::Server* coordinator, const store::ViewDef& view,
     const Key& view_key, store::ViewReadSpec spec,
     std::function<void(StatusOr<store::ViewReadOutcome>)> callback) {
-  // The ViewDef lives in the cluster schema, which is immutable for the
-  // cluster's lifetime; hold it by pointer across the async hops.
-  const store::ViewDef* view_def = &view;
-
-  if (view.IsAggregate()) {
-    // The client sees only the folded output column; a caller-supplied
-    // projection would starve the fold of the per-base-key sub-aggregate
-    // cells it reads. Every path below (view scan, SI/base fallback) folds
-    // from the view's own materialized columns.
-    spec.columns.clear();
-  }
-
-  if (spec.consistency == store::ReadConsistency::kBoundedStaleness) {
-    const SimTime bound = spec.max_staleness > 0
-                              ? spec.max_staleness
-                              : cluster_->config().max_staleness_default;
-    const SimTime deadline =
-        cluster_->simulation().Now() + cluster_->config().freshness_wait_max;
-    BoundedViewGet(coordinator, view, view_key, std::move(spec), bound,
-                   deadline, /*attempt=*/0, std::move(callback));
-    return;
-  }
-
-  SessionManager& sessions = *sessions_[coordinator->id()];
-  if (cluster_->config().session_guarantees && spec.session != 0 &&
-      spec.consistency == store::ReadConsistency::kReadYourWrites &&
-      sessions.MustDefer(spec.session, view.name)) {
-    cluster_->metrics().view_get_deferrals++;
-    // The deferred continuation fires from the tracker's session layer,
-    // under whatever context THAT runs in — capture this read's context
-    // explicitly and span the blocked interval (Definition 4's wait, Fig 7).
-    Tracer& tracer = cluster_->tracer();
-    const TraceContext ctx = tracer.current();
-    const TraceContext defer =
-        tracer.StartSpan(ctx, "view.session_defer",
-                         static_cast<int>(coordinator->id()),
-                         cluster_->simulation().Now());
-    const store::SessionId session = spec.session;
-    sessions.Defer(session, view.name,
-                   [this, coordinator, view_def, view_key, ctx, defer,
-                    spec = std::move(spec),
-                    callback = std::move(callback)]() mutable {
-                     cluster_->tracer().EndSpan(defer,
-                                                cluster_->simulation().Now());
-                     Tracer::Scope scope(&cluster_->tracer(), ctx);
-                     ServeFromView(coordinator, *view_def, view_key, spec,
-                                   spec.read_quorum, std::move(callback));
-                   });
-    return;
-  }
-  ServeFromView(coordinator, view, view_key, spec, spec.read_quorum,
-                std::move(callback));
-}
-
-// ---------------------------------------------------------------------------
-// Freshness contract (ISSUE 7): the bounded-staleness policy ladder.
-// ---------------------------------------------------------------------------
-
-void MaintenanceEngine::BoundedViewGet(
-    store::Server* coordinator, const store::ViewDef& view,
-    const Key& view_key, store::ViewReadSpec spec, SimTime bound,
-    SimTime deadline, int attempt,
-    std::function<void(StatusOr<store::ViewReadOutcome>)> callback) {
-  const store::ViewDef* view_def = &view;
-  store::FreshnessTracker& tracker = cluster_->freshness();
-  const Timestamp now_ts =
-      store::kClientTimestampEpoch + cluster_->simulation().Now();
-  const Timestamp need = std::max<Timestamp>(0, now_ts - bound);
-
-  const store::FreshnessTracker::BlockerSummary blockers =
-      tracker.BlockersBefore(view.name, view_key, need);
-
-  if (blockers.live == 0 && blockers.wounded == 0) {
-    // The bound is proven: no unsettled intent older than (now - bound) can
-    // reach this partition. Serve from the view — at a quorum that
-    // intersects propagation's majority write quorum, so the scan cannot
-    // read a single replica that missed an applied (settled) propagation.
-    ServeFromView(coordinator, view, view_key, spec,
-                  std::max(spec.read_quorum, coordinator->MajorityQuorum()),
-                  std::move(callback));
-    return;
-  }
-
-  if (attempt == 0) cluster_->metrics().freshness_bound_misses++;
-
-  if (blockers.live == 0) {
-    // Only wounded families block: their propagations died, so no amount of
-    // waiting helps. Fire a targeted repair of exactly those families (the
-    // owned-range scrub's audit, scoped to the blockers), then re-prove.
-    cluster_->metrics().freshness_targeted_repairs++;
-    std::vector<Key> wounded = blockers.wounded_keys;
-    coordinator->Enqueue(
-        cluster_->config().perf.view_scan_local,
-        [this, coordinator, view_def, view_key, spec = std::move(spec), bound,
-         deadline, attempt, wounded = std::move(wounded),
-         callback = std::move(callback)]() mutable {
-          RepairViewFamilies(*cluster_, *view_def, wounded,
-                             [this, view_def](const Key& base_key) {
-                               std::string resource = view_def->name;
-                               resource.push_back('\0');
-                               resource += base_key;
-                               return active_per_resource_.count(resource) !=
-                                      0;
-                             });
-          // The audited families provably match Definition 1 now; clearing
-          // their intents guarantees the re-entry below cannot see the same
-          // wounded blockers (no repair loop).
-          for (const Key& base_key : wounded) {
-            cluster_->freshness().FamilyAudited(view_def->name, base_key);
-          }
-          BoundedViewGet(coordinator, *view_def, view_key, std::move(spec),
-                         bound, deadline, attempt + 1, std::move(callback));
-        });
-    return;
-  }
-
-  // Live propagations block. Ask the router: will they plausibly settle
-  // within the bound/wait budget? The coordinator's advisory cache answers
-  // without a tracker round trip; fall through to the tracker's own
-  // estimate when the cache is cold.
-  SimTime lag = coordinator->freshness_cache().LagEstimate(view.name);
-  if (lag < 0) lag = tracker.LagEstimate(view.name);
-  const SimTime now = cluster_->simulation().Now();
-  if (now >= deadline ||
-      (cluster_->config().freshness_router && lag >= 0 && lag > bound)) {
-    // Waiting is hopeless (deadline spent) or pointless (typical
-    // propagation lag exceeds the bound): route around the view.
-    FallbackRead(coordinator, view, view_key, spec, std::move(callback));
-    return;
-  }
-
-  // Park until the view's freshness improves (an intent applies, discards,
-  // or audits away) or the wait deadline fires — whichever comes first.
-  cluster_->metrics().freshness_bound_waits++;
-  Tracer& tracer = cluster_->tracer();
-  const TraceContext ctx = tracer.current();
-  auto fired = std::make_shared<bool>(false);
-  auto wake = std::make_shared<std::function<void()>>(
-      [this, coordinator, view_def, view_key, spec = std::move(spec), bound,
-       deadline, attempt, ctx, fired, parked_at = now,
-       callback = std::move(callback)]() mutable {
-        if (*fired) return;
-        *fired = true;
-        cluster_->metrics().freshness_wait.Record(
-            cluster_->simulation().Now() - parked_at);
-        Tracer::Scope scope(&cluster_->tracer(), ctx);
-        BoundedViewGet(coordinator, *view_def, view_key, std::move(spec),
-                       bound, deadline, attempt + 1, std::move(callback));
-      });
-  tracker.NotifyOnImprovement(view.name, [wake] { (*wake)(); });
-  cluster_->simulation().After(std::max<SimTime>(1, deadline - now),
-                               [wake] { (*wake)(); });
-}
-
-void MaintenanceEngine::ServeFromView(
-    store::Server* coordinator, const store::ViewDef& view,
-    const Key& view_key, const store::ViewReadSpec& spec, int read_quorum,
-    std::function<void(StatusOr<store::ViewReadOutcome>)> callback) {
-  const store::ViewDef* view_def = &view;
-  // Only eventual reads may degrade to a partial scatter: RYW and bounded
-  // reads promised something about the rows they return, and rows missing
-  // with their sub-shard would silently break that promise.
-  const bool allow_partial =
-      spec.consistency == store::ReadConsistency::kEventual;
-  DoViewGet(coordinator, view, view_key, spec.columns, read_quorum,
-            allow_partial, /*attempt=*/0,
-            [this, view_def, view_key, callback = std::move(callback)](
-                StatusOr<ViewScanResult> scan) mutable {
-              if (!scan.ok()) {
-                callback(scan.status());
-                return;
-              }
-              store::ViewReadOutcome outcome;
-              outcome.records = std::move(scan->records);
-              if (view_def->IsAggregate()) {
-                // Collapse the per-base-key sub-aggregates into the single
-                // record the client sees (ISSUE 10).
-                const AggregateFold fold =
-                    FoldAggregateRecords(*view_def, outcome.records);
-                cluster_->metrics().view_aggregate_folds++;
-                cluster_->metrics().view_aggregate_fold_skipped +=
-                    fold.skipped;
-                outcome.records = FoldedAggregateView(*view_def, fold);
-              }
-              const Timestamp now_ts = store::kClientTimestampEpoch +
-                                       cluster_->simulation().Now();
-              if (scan->failed_shards > 0) {
-                // Partial coverage: some sub-shards' rows are simply absent,
-                // so no freshness can honestly be claimed — clamp to the
-                // null timestamp ("everything after the epoch may be
-                // missing") and record the degradation, not a staleness.
-                outcome.freshness = kNullTimestamp;
-                outcome.served_by = store::ServedBy::kView;
-                callback(std::move(outcome));
-                return;
-              }
-              if (view_def->shard_count > 1) {
-                // A scatter-gather read is only as fresh as its weakest
-                // sub-shard: claim the min of the per-shard freshness
-                // (ISSUE 9's freshness-over-shards rule).
-                Timestamp fresh = now_ts;
-                for (int shard = 0; shard < view_def->shard_count; ++shard) {
-                  fresh = std::min(
-                      fresh, cluster_->freshness().FreshAsOfShard(
-                                 view_def->name, view_key, shard,
-                                 view_def->shard_count, now_ts));
-                }
-                outcome.freshness = fresh;
-              } else {
-                outcome.freshness = cluster_->freshness().FreshAsOf(
-                    view_def->name, view_key, now_ts);
-              }
-              outcome.served_by = store::ServedBy::kView;
-              cluster_->metrics().view_staleness.Record(
-                  std::max<Timestamp>(0, now_ts - outcome.freshness));
-              callback(std::move(outcome));
-            });
-}
-
-void MaintenanceEngine::FallbackRead(
-    store::Server* coordinator, const store::ViewDef& view,
-    const Key& view_key, const store::ViewReadSpec& spec,
-    std::function<void(StatusOr<store::ViewReadOutcome>)> callback) {
-  const store::ViewDef* view_def = &view;
-  const bool si = cluster_->schema().FindIndex(view.base_table,
-                                               view.view_key_column) != nullptr;
-  const store::ServedBy path =
-      si ? store::ServedBy::kSiPath : store::ServedBy::kBaseScan;
-  if (si) {
-    cluster_->metrics().freshness_fallback_si++;
-  } else {
-    cluster_->metrics().freshness_fallback_base++;
-  }
-  auto on_rows = [this, view_def, path, columns = spec.columns,
-                  callback = std::move(callback)](
-                     StatusOr<std::vector<storage::KeyedRow>> rows) mutable {
-    if (!rows.ok()) {
-      callback(rows.status());
-      return;
-    }
-    // Evaluate the view definition inline over the base rows: selection
-    // filter, then project the wanted materialized columns.
-    const std::vector<ColumnName>& wanted =
-        columns.empty() ? view_def->materialized_columns : columns;
-    store::ViewReadOutcome outcome;
-    for (const storage::KeyedRow& kr : *rows) {
-      if (view_def->selection.has_value()) {
-        auto selected = kr.row.GetValue(view_def->selection->column);
-        if (!selected || *selected != view_def->selection->equals) continue;
-      }
-      store::ViewRecord record;
-      record.base_key = kr.key;
-      for (const ColumnName& col : wanted) {
-        if (auto cell = kr.row.Get(col); cell && !cell->tombstone) {
-          record.cells.Apply(col, *cell);
-        }
-      }
-      outcome.records.push_back(std::move(record));
-    }
-    if (view_def->IsAggregate()) {
-      // Same fold as the view path, over the base rows' freshly evaluated
-      // records — recompute-on-read, the baseline fig10 measures against.
-      const AggregateFold fold =
-          FoldAggregateRecords(*view_def, outcome.records);
-      cluster_->metrics().view_aggregate_folds++;
-      cluster_->metrics().view_aggregate_fold_skipped += fold.skipped;
-      outcome.records = FoldedAggregateView(*view_def, fold);
-    }
-    // Both fallback paths read the base table's CURRENT state (the SI is
-    // maintained synchronously with each replica write), so the outcome
-    // claims freshness "now": staleness zero by construction.
-    outcome.freshness =
-        store::kClientTimestampEpoch + cluster_->simulation().Now();
-    outcome.served_by = path;
-    cluster_->metrics().view_staleness.Record(0);
-    callback(std::move(outcome));
-  };
-  if (si) {
-    coordinator->CoordinateIndexScan(view.base_table, view.view_key_column,
-                                     view_key, std::move(on_rows));
-  } else {
-    coordinator->CoordinateBaseMatchScan(view.base_table, view.view_key_column,
-                                         view_key, std::move(on_rows));
-  }
+  reader_.HandleViewGet(coordinator, view, view_key, std::move(spec),
+                        std::move(callback));
 }
 
 void MaintenanceEngine::GossipFreshness(
@@ -1188,8 +908,7 @@ void MaintenanceEngine::GossipFreshness(
   // this partition will coordinate scans against.
   const std::string view_name = task->view->name;
   const SimTime lag = cluster_->simulation().Now() - task->created_at;
-  const double alpha = cluster_->config().freshness_lag_alpha;
-  cluster_->freshness().RecordLag(view_name, lag, alpha);
+  cluster_->freshness().RecordLag(view_name, lag, kLagAlpha);
 
   Key partition;
   if (task->view_key_update && !task->view_key_update->tombstone &&
@@ -1219,106 +938,11 @@ void MaintenanceEngine::GossipFreshness(
     cluster_->metrics().freshness_gossip_updates++;
     store::Server* target = &cluster_->server(replica);
     cluster_->network().Send(
-        from, replica, [target, view_name, high_water, lag, alpha] {
-          target->freshness_cache().Merge(view_name, high_water, lag, alpha);
+        from, replica, [target, view_name, high_water, lag] {
+          target->freshness_cache().Merge(view_name, high_water, lag,
+                                          kLagAlpha);
         });
   }
-}
-
-void MaintenanceEngine::DoViewGet(
-    store::Server* coordinator, const store::ViewDef& view,
-    const Key& view_key, std::vector<ColumnName> columns, int read_quorum,
-    bool allow_partial, int attempt,
-    std::function<void(StatusOr<ViewScanResult>)> callback) {
-  const store::ViewDef* view_def = &view;
-  // Sharded views scatter one scan per sub-shard and merge at the
-  // coordinator; a single-shard view degenerates to the classic one-prefix
-  // scan inside CoordinateViewScatterScan.
-  std::vector<Key> prefixes;
-  prefixes.reserve(static_cast<std::size_t>(std::max(1, view.shard_count)));
-  for (int shard = 0; shard < std::max(1, view.shard_count); ++shard) {
-    prefixes.push_back(
-        store::ShardedViewPartitionPrefix(view_key, shard, view.shard_count));
-  }
-  coordinator->CoordinateViewScatterScan(
-      view.name, std::move(prefixes), read_quorum, allow_partial,
-      [this, coordinator, view_def, view_key, columns, read_quorum,
-       allow_partial, attempt, callback = std::move(callback)](
-          StatusOr<store::ScatterScanResult> scan) mutable {
-        if (!scan.ok()) {
-          callback(scan.status());
-          return;
-        }
-        std::map<Key, const storage::Row*> live_rows;  // by base key
-        std::map<Key, bool> initializing;              // by base key
-        for (const storage::KeyedRow& kr : scan->rows) {
-          auto split =
-              store::SplitShardedViewRowKey(kr.key, view_def->shard_count);
-          if (!split || split->first != view_key) continue;
-          const Key& base_key = split->second;
-          RowStatus status = ClassifyViewRow(kr.row, view_key);
-          if (!status.exists) continue;
-          if (!status.live) {
-            cluster_->metrics().stale_rows_filtered++;
-            continue;
-          }
-          if (!status.initialized) {
-            initializing[base_key] = true;
-            continue;
-          }
-          if (status.hidden) continue;
-          live_rows[base_key] = &kr.row;
-        }
-        // Section IV-F: never expose a window where the row's only live
-        // version is still being initialized — wait for the promotion to
-        // finish (bounded).
-        bool must_spin = false;
-        for (const auto& [base_key, unused] : initializing) {
-          if (live_rows.count(base_key) == 0) {
-            must_spin = true;
-            break;
-          }
-        }
-        if (must_spin && attempt < kMaxReadSpins) {
-          cluster_->metrics().view_get_spins++;
-          // The retry crosses a bare timer; carry the context over it and
-          // span the wait so initialization spins show in the timeline.
-          Tracer& tracer = cluster_->tracer();
-          const TraceContext ctx = tracer.current();
-          const TraceContext spin =
-              tracer.StartSpan(ctx, "view.read_spin",
-                               static_cast<int>(coordinator->id()),
-                               cluster_->simulation().Now());
-          cluster_->simulation().After(
-              kReadSpinDelay,
-              [this, coordinator, view_def, view_key, ctx, spin,
-               columns = std::move(columns), read_quorum, allow_partial,
-               attempt, callback = std::move(callback)]() mutable {
-                cluster_->tracer().EndSpan(spin, cluster_->simulation().Now());
-                Tracer::Scope scope(&cluster_->tracer(), ctx);
-                DoViewGet(coordinator, *view_def, view_key, std::move(columns),
-                          read_quorum, allow_partial, attempt + 1,
-                          std::move(callback));
-              });
-          return;
-        }
-        const std::vector<ColumnName>& wanted =
-            columns.empty() ? view_def->materialized_columns : columns;
-        ViewScanResult result;
-        result.failed_shards = scan->failed_shards;
-        result.records.reserve(live_rows.size());
-        for (const auto& [base_key, row] : live_rows) {
-          store::ViewRecord record;
-          record.base_key = base_key;
-          for (const ColumnName& col : wanted) {
-            if (auto cell = row->Get(col); cell && !cell->tombstone) {
-              record.cells.Apply(col, *cell);
-            }
-          }
-          result.records.push_back(std::move(record));
-        }
-        callback(std::move(result));
-      });
 }
 
 // ---------------------------------------------------------------------------

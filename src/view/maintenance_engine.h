@@ -1,10 +1,11 @@
-// The view-maintenance engine: Algorithm 1's asynchronous propagation driver,
-// Algorithm 4's view reads, session guarantees, and both Section IV-F
-// concurrency-control designs.
+// The view-maintenance engine: Algorithm 1's asynchronous propagation under
+// both Section IV-F concurrency-control designs, plus the crash, membership
+// and scrub handling around it. View reads (Algorithm 4, the session
+// guarantee, bounded staleness) are served by the ViewReader it owns.
 //
 // One engine serves the whole cluster. It installs itself as every server's
-// ViewMaintenanceHook. Per-coordinator state (session managers, in the
-// dedicated mode per-propagator row queues) is kept per server id.
+// ViewMaintenanceHook. Per-server state (in the dedicated mode the
+// per-propagator row queues) is kept per server id.
 
 #ifndef MVSTORE_VIEW_MAINTENANCE_ENGINE_H_
 #define MVSTORE_VIEW_MAINTENANCE_ENGINE_H_
@@ -21,7 +22,7 @@
 #include "store/hooks.h"
 #include "view/lock_service.h"
 #include "view/propagation.h"
-#include "view/session_manager.h"
+#include "view/view_reader.h"
 
 namespace mvstore::view {
 
@@ -60,9 +61,6 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   void Quiesce();
 
   LockService& lock_service() { return locks_; }
-  SessionManager& session_manager(ServerId server) {
-    return *sessions_[server];
-  }
 
   /// Retry budget per propagation before it is abandoned (counted in
   /// attempts; generous — Section IV-D argues success is eventually
@@ -78,6 +76,10 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   /// Serialization resource name for a task (one lock / one queue per
   /// (view, base key), Section IV-F).
   static std::string ResourceOf(const PropagationTask& task);
+
+  /// Whether a propagation of the (view, base key) family is in flight; the
+  /// owned-range scrub and the reader's targeted repair skip such families.
+  bool FamilyInFlight(const std::string& view, const Key& base_key) const;
 
   const storage::Cell& CurrentGuess(const PropagationTask& task) const;
 
@@ -156,63 +158,15 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   std::size_t RunOwnedRangeScrub(ServerId server);
   void OwnedRangeScrubTick(ServerId server);
 
-  /// What DoViewGet's partition scan produced: the live records plus how
-  /// many sub-shards the scatter could not reach (ISSUE 10; nonzero only on
-  /// the allow-partial path, where ServeFromView must clamp its freshness
-  /// claim because the missing shards' rows are simply absent).
-  struct ViewScanResult {
-    std::vector<store::ViewRecord> records;
-    int failed_shards = 0;
-  };
-
-  // Algorithm 4 with the Section IV-F wait-on-initializing-row rule.
-  void DoViewGet(
-      store::Server* coordinator, const store::ViewDef& view,
-      const Key& view_key, std::vector<ColumnName> columns, int read_quorum,
-      bool allow_partial, int attempt,
-      std::function<void(StatusOr<ViewScanResult>)> callback);
-
-  // --- freshness contract (ISSUE 7) ---
-
-  /// The bounded-staleness policy ladder: prove the bound from the tracker,
-  /// else repair wounded families, else park briefly for in-flight
-  /// propagations, else route to the SI/base path (FallbackRead). `deadline`
-  /// caps the total parked time; `bound` is the resolved staleness bound.
-  void BoundedViewGet(
-      store::Server* coordinator, const store::ViewDef& view,
-      const Key& view_key, store::ViewReadSpec spec, SimTime bound,
-      SimTime deadline, int attempt,
-      std::function<void(StatusOr<store::ViewReadOutcome>)> callback);
-
-  /// DoViewGet wrapped into the outcome vocabulary: freshness claimed from
-  /// the tracker, served_by = kView.
-  void ServeFromView(
-      store::Server* coordinator, const store::ViewDef& view,
-      const Key& view_key, const store::ViewReadSpec& spec, int read_quorum,
-      std::function<void(StatusOr<store::ViewReadOutcome>)> callback);
-
-  /// Serves the read from the secondary index on the view-key column when
-  /// one exists, else from a broadcast base-table match scan. Both paths
-  /// read the base table's current state, so the outcome claims freshness
-  /// "now" (staleness 0) — the router's escape hatch when the view cannot
-  /// satisfy a bound in time.
-  void FallbackRead(
-      store::Server* coordinator, const store::ViewDef& view,
-      const Key& view_key, const store::ViewReadSpec& spec,
-      std::function<void(StatusOr<store::ViewReadOutcome>)> callback);
-
   /// Piggybacks (applied high-water, observed lag) for the task's view onto
   /// replica traffic toward the view partition's replicas, feeding their
   /// advisory FreshnessCaches.
   void GossipFreshness(const std::shared_ptr<PropagationTask>& task);
 
-  static constexpr int kMaxReadSpins = 64;
-  static constexpr SimTime kReadSpinDelay = Millis(1);
-
   store::Cluster* cluster_;
   Rng rng_;
   LockService locks_;
-  std::vector<std::unique_ptr<SessionManager>> sessions_;
+  ViewReader reader_;
   std::vector<std::map<std::string, RowQueue>> row_queues_;  // by propagator
   std::map<std::string, std::vector<std::shared_ptr<PropagationTask>>>
       parked_;  // retry parking lot, by resource

@@ -7,8 +7,8 @@
 #include <string>
 
 #include "store/client.h"
+#include "store/freshness.h"
 #include "tests/test_util.h"
-#include "view/session_manager.h"
 
 namespace mvstore {
 namespace {
@@ -26,29 +26,31 @@ store::ClusterConfig SlowPropagationConfig() {
   return config;
 }
 
-TEST(SessionManagerTest, TracksPendingPerSessionAndView) {
-  view::SessionManager manager;
-  EXPECT_FALSE(manager.MustDefer(1, "v"));
-  manager.PropagationStarted(1, "v");
-  manager.PropagationStarted(1, "v");
-  EXPECT_TRUE(manager.MustDefer(1, "v"));
-  EXPECT_FALSE(manager.MustDefer(2, "v"));   // other session unaffected
-  EXPECT_FALSE(manager.MustDefer(1, "w"));   // other view unaffected
+// The freshness tracker's session layer, one coordinator's slice of it
+// (origin 0).
+TEST(SessionLayerTest, TracksPendingPerSessionAndView) {
+  store::FreshnessTracker tracker;
+  EXPECT_FALSE(tracker.SessionMustDefer(0, 1, "v"));
+  tracker.SessionStarted(0, 1, "v");
+  tracker.SessionStarted(0, 1, "v");
+  EXPECT_TRUE(tracker.SessionMustDefer(0, 1, "v"));
+  EXPECT_FALSE(tracker.SessionMustDefer(0, 2, "v"));  // other session
+  EXPECT_FALSE(tracker.SessionMustDefer(0, 1, "w"));  // other view
 
   int resumed = 0;
-  manager.Defer(1, "v", [&resumed] { ++resumed; });
-  manager.PropagationFinished(1, "v");
+  tracker.SessionDefer(0, 1, "v", [&resumed] { ++resumed; });
+  tracker.SessionFinished(0, 1, "v");
   EXPECT_EQ(resumed, 0) << "one of two propagations still pending";
-  manager.PropagationFinished(1, "v");
+  tracker.SessionFinished(0, 1, "v");
   EXPECT_EQ(resumed, 1);
-  EXPECT_FALSE(manager.MustDefer(1, "v"));
-  EXPECT_EQ(manager.deferred_total(), 1u);
+  EXPECT_FALSE(tracker.SessionMustDefer(0, 1, "v"));
+  EXPECT_EQ(tracker.deferred_total(0), 1u);
 }
 
-TEST(SessionManagerTest, SessionZeroNeverDefers) {
-  view::SessionManager manager;
-  manager.PropagationStarted(0, "v");
-  EXPECT_FALSE(manager.MustDefer(0, "v"));
+TEST(SessionLayerTest, SessionZeroNeverDefers) {
+  store::FreshnessTracker tracker;
+  tracker.SessionStarted(0, 0, "v");
+  EXPECT_FALSE(tracker.SessionMustDefer(0, 0, "v"));
 }
 
 TEST(SessionTest, ViewGetSeesOwnPrecedingPut) {
@@ -166,7 +168,7 @@ TEST(SessionTest, SessionsDisabledByConfig) {
 
 TEST(SessionTest, CrashedCoordinatorAnswersDeferredGetByClientTimeout) {
   // A view Get deferred on the session guarantee is parked at the
-  // coordinator. If the coordinator crashes, SessionManager::Reset() drops
+  // coordinator. If the coordinator crashes, ResetSessions drops
   // the parked continuation with the rest of the coordinator's volatile
   // state — the client's own request deadline must answer the call, and the
   // callback must fire exactly once (no leak, no double answer).

@@ -1,10 +1,9 @@
-// Shard placement is ONE function (ISSUE 10): the codec's ShardOfBaseKey is
-// the single routing authority, and every layer that slices a view key into
-// sub-shards — row-key encoding (maintenance/propagation), scatter prefixes
-// (reads), and the freshness tracker's per-shard intent filter — must agree
-// with it key-for-key. These property tests pin the agreement so a future
-// "local copy" of the hash can never silently diverge and strand intents
-// (or rows) in a shard no reader consults.
+// Shard placement is ONE function: the codec's ShardOfBaseKey is the single
+// routing authority, and every layer that slices a view key into sub-shards
+// — row-key encoding (maintenance/propagation) and scatter prefixes (reads)
+// — must agree with it key-for-key. These property tests pin the agreement
+// so a future "local copy" of the hash can never silently diverge and
+// strand rows in a shard no reader consults.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "common/rng.h"
 #include "store/codec.h"
-#include "store/freshness.h"
 
 namespace mvstore {
 namespace {
@@ -54,41 +52,6 @@ TEST(ShardPlacementTest, RowKeyEncodingAgreesWithShardOfBaseKey) {
     ASSERT_TRUE(split.has_value());
     EXPECT_EQ(split->first, view_key);
     EXPECT_EQ(split->second, base_key);
-  }
-}
-
-// The freshness tracker filters per-shard blockers with the SAME routing:
-// an unsettled intent for base key B must depress FreshAsOfShard for
-// exactly ShardOfBaseKey(B) and no other shard — otherwise a scatter read
-// would claim freshness for the very shard the pending write lands in.
-TEST(ShardPlacementTest, FreshnessIntentBlocksExactlyTheRoutedShard) {
-  Rng rng(424242);
-  for (int trial = 0; trial < 200; ++trial) {
-    store::FreshnessTracker tracker;
-    const int shards = static_cast<int>(rng.UniformInt(2, 16));
-    const Key partition = RandomKey(rng);
-    const Key base_key = RandomKey(rng);
-    const Timestamp ts = 1000;
-    const Timestamp now_ts = 2000;
-    const std::uint64_t intent =
-        tracker.RegisterIntent("v", base_key, ts, /*session=*/0,
-                               /*origin=*/0);
-    tracker.ResolvePartitions(intent, {partition});
-
-    const int routed = store::ShardOfBaseKey(base_key, shards);
-    for (int shard = 0; shard < shards; ++shard) {
-      const Timestamp fresh =
-          tracker.FreshAsOfShard("v", partition, shard, shards, now_ts);
-      if (shard == routed) {
-        EXPECT_EQ(fresh, ts - 1) << "trial " << trial;
-      } else {
-        EXPECT_EQ(fresh, now_ts) << "trial " << trial << " shard " << shard;
-      }
-    }
-    // Settling the intent releases the routed shard too.
-    tracker.MarkApplied(intent);
-    EXPECT_EQ(tracker.FreshAsOfShard("v", partition, routed, shards, now_ts),
-              now_ts);
   }
 }
 

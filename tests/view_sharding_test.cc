@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <set>
@@ -217,6 +218,46 @@ TEST(ViewShardingTest, ScatteredFreshnessIsClaimedConservatively) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result.freshness, kNullTimestamp);
   EXPECT_LE(result.freshness, kClientTimestampEpoch + t.cluster.Now());
+}
+
+// The scatter read's claim is exactly the tracker's view-wide FreshAsOf:
+// with one propagation pending, just below that write's timestamp; once it
+// settles, the time of the read.
+TEST(ViewShardingTest, ScatteredFreshnessClaimIsFreshAsOf) {
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.perf.propagation_dispatch_mu = std::log(50000.0);  // ~50 ms
+  config.perf.propagation_dispatch_sigma = 0.0;
+  config.perf.propagation_dispatch_min = Millis(50);
+  TestCluster t = ShardedCluster(config);
+  for (int k = 0; k < 16; ++k) {
+    t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
+                               {{"assigned_to", std::string("hot")},
+                                {"status", std::string("open")}},
+                               100);
+  }
+  auto client = t.cluster.NewClient();
+  store::WriteResult put = client->PutSync(
+      "ticket", "t3", {{"status", std::string("closed")}}, WriteOptions{});
+  ASSERT_TRUE(put.ok());
+  const store::FreshnessTracker& tracker = t.cluster.freshness();
+  ASSERT_EQ(tracker.pending_intents(), 1u);
+
+  auto pending =
+      client->QuerySync(QuerySpec::View("assigned_to_view", "hot"), {});
+  ASSERT_TRUE(pending.ok());
+  ASSERT_EQ(tracker.pending_intents(), 1u) << "propagation settled too soon";
+  EXPECT_EQ(pending.freshness, put.ts - 1);
+  EXPECT_EQ(pending.freshness,
+            tracker.FreshAsOf("assigned_to_view", "hot",
+                              kClientTimestampEpoch + t.cluster.Now()));
+
+  t.Quiesce();
+  const Timestamp issued = kClientTimestampEpoch + t.cluster.Now();
+  auto settled =
+      client->QuerySync(QuerySpec::View("assigned_to_view", "hot"), {});
+  ASSERT_TRUE(settled.ok());
+  EXPECT_GE(settled.freshness, issued);
+  EXPECT_LE(settled.freshness, kClientTimestampEpoch + t.cluster.Now());
 }
 
 // The zipfian chaos property: a skewed workload over a sharded view, with
