@@ -232,7 +232,7 @@ int Run() {
   std::size_t hints_left = 0;
   for (int i = 0; i < bc.cluster.num_servers(); ++i) {
     hints_left += bc.cluster.server(static_cast<ServerId>(i))
-                      .hints_outstanding();
+                      .hints().outstanding();
   }
 
   // Gate 2: every acked write survived the churn. Read each tracked base

@@ -78,6 +78,10 @@ class Tracer {
   /// Appends a note to the span's annotation string ("; "-separated).
   void Annotate(const TraceContext& ctx, const std::string& note);
 
+  /// Records an instant child span of `parent` (a marker) noting `note`.
+  void Mark(const TraceContext& parent, const std::string& name, int where,
+            SimTime now, const std::string& note);
+
   /// The ambient context new hops inherit (see file comment).
   const TraceContext& current() const { return current_; }
 

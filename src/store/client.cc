@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -50,27 +49,13 @@ void Client::SendToCoordinator(std::function<void(Server&)> fn) {
 
 namespace {
 
-// The error delivered when a client-side request deadline expires.
+// The error delivered when a client-side request deadline expires (every
+// other field of the ReadResult / WriteResult keeps its default).
 template <typename ResultT>
 ResultT TimeoutResult() {
-  if constexpr (std::is_same_v<ResultT, Status>) {
-    return Status::TimedOut("client request deadline expired");
-  } else if constexpr (std::is_constructible_v<ResultT, Status>) {
-    return ResultT(Status::TimedOut("client request deadline expired"));
-  } else {
-    ResultT result;
-    result.status = Status::TimedOut("client request deadline expired");
-    return result;
-  }
-}
-
-// Stamps the operation's trace id into result types that carry one
-// (ReadResult/WriteResult); no-op for the legacy Status/StatusOr shapes.
-template <typename ResultT>
-void SetResultTrace(ResultT& result, TraceId trace) {
-  if constexpr (requires { result.trace = trace; }) {
-    result.trace = trace;
-  }
+  ResultT result;
+  result.status = Status::TimedOut("client request deadline expired");
+  return result;
 }
 
 }  // namespace
@@ -100,7 +85,7 @@ std::function<void(ResultT)> Client::ReturnToClient(
             tracer->EndSpan(op, cluster->simulation().Now());
           }
           ResultT result = TimeoutResult<ResultT>();
-          SetResultTrace(result, op.trace);
+          result.trace = op.trace;
           (*shared_callback)(std::move(result));
         });
   }
@@ -116,7 +101,7 @@ std::function<void(ResultT)> Client::ReturnToClient(
             latency->Record(cluster->simulation().Now() - start);
           }
           if (op) tracer->EndSpan(op, cluster->simulation().Now());
-          SetResultTrace(result, op.trace);
+          result.trace = op.trace;
           (*shared_callback)(std::move(result));
         });
   };

@@ -112,7 +112,7 @@ std::optional<ServerId> Cluster::JoinServer() {
   servers_[joiner]->ActivateForJoin();
   std::vector<Ring::RangeTransfer> plan =
       ring_.AddServer(joiner, config_.replication_factor);
-  servers_[joiner]->BeginJoinStream(std::move(plan));
+  servers_[joiner]->streamer().BeginJoin(std::move(plan));
   return joiner;
 }
 
@@ -134,11 +134,11 @@ bool Cluster::DecommissionServer(ServerId id) {
     if (server->id() == id || server->crashed() || !server->is_member()) {
       continue;
     }
-    server->RerouteHintsFor(id);
+    server->hints().RerouteFor(id);
     server->RetargetInflightOps(id);
   }
 
-  leaver.BeginDecommission(std::move(plan));
+  leaver.streamer().BeginLeave(std::move(plan));
   return true;
 }
 

@@ -234,11 +234,6 @@ struct ClusterConfig {
   /// decommission handoff).
   int join_stream_batch = 128;
 
-  /// Base backoff before re-pulling a range slice that timed out (grows
-  /// linearly with the attempt count, capped at 8x). The puller also
-  /// rotates to the next candidate source on each retry.
-  SimTime join_stream_retry_backoff = Millis(50);
-
   /// How long a decommissioning server keeps waiting for its own hinted
   /// handoffs to drain before it force-reroutes them to the keys' current
   /// replicas and leaves anyway.

@@ -56,11 +56,6 @@ void QuorumOp<Response>::SendTo(std::size_t slot) {
     spec_.send(*coord_, spec_.targets[slot], std::move(on_reply));
     return;
   }
-  if (spec_.service_at) {
-    coord_->CallPeerDynamic<Response>(spec_.targets[slot], spec_.service_at,
-                                      spec_.request, std::move(on_reply));
-    return;
-  }
   coord_->CallPeer<Response>(spec_.targets[slot], spec_.service,
                              spec_.request, std::move(on_reply));
 }
@@ -187,8 +182,8 @@ void QuorumOp<Response>::Settle(bool aborted) {
       coord_->config().hint_replay_interval > 0) {
     for (std::size_t i = 0; i < spec_.targets.size(); ++i) {
       if (!responses_[i]) {
-        coord_->StoreHint(spec_.targets[i], spec_.hint_table, spec_.hint_key,
-                          spec_.hint_cells);
+        coord_->hints().Store(spec_.targets[i], spec_.hint_table,
+                              spec_.hint_key, spec_.hint_cells);
       }
     }
   }

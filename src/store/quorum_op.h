@@ -57,14 +57,11 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
     std::string name;
     std::vector<ServerId> targets;
     int quorum = 1;
-    /// Per-target service demand of executing `request` remotely.
-    SimTime service = 0;
-    /// Optional per-target service override, evaluated ON THE TARGET when
-    /// the request is dequeued there (not at send time): lets the demand
-    /// depend on replica-local state the coordinator cannot see — a read
-    /// answered from the target's row cache costs `read_cached_local`
-    /// instead of `read_local`. Unset = the flat `service` above.
-    std::function<SimTime(Server&)> service_at;
+    /// Per-target service demand of executing `request` remotely, resolved
+    /// ON THE TARGET at delivery (see Server::CallPeer): a read answered
+    /// from the target's row cache costs `read_cached_local` there.
+    /// FixedService for a flat demand.
+    std::function<SimTime(Server&)> service;
     /// Runs on each target under its service queue; the returned value
     /// travels back to the coordinator.
     std::function<Response(Server&)> request;
@@ -84,6 +81,15 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
     std::function<void(QuorumOp&, const Status&)> on_error;
     std::function<void(QuorumOp&, bool /*aborted*/)> on_settled;
   };
+
+  /// An on_error that hands the failure status to `callback`.
+  template <typename Callback>
+  static std::function<void(QuorumOp&, const Status&)> FailWith(
+      Callback callback) {
+    return [callback = std::move(callback)](QuorumOp&, const Status& status) {
+      callback(status);
+    };
+  }
 
   /// Fans the op out and arms its timeouts. The returned handle is shared
   /// with every in-flight closure; callers normally drop it.

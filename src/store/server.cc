@@ -1,12 +1,10 @@
 #include "store/server.h"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <set>
 #include <utility>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "store/codec.h"
 #include "store/quorum_op.h"
@@ -14,11 +12,6 @@
 namespace mvstore::store {
 
 namespace {
-
-/// Salt mixed into each anti-entropy digest entry before summation, so the
-/// combiner is not the plain entry hash (defense against crafted inputs
-/// that target the entry-hash function directly).
-constexpr std::uint64_t kSyncDigestSalt = 0x9e3779b97f4a7c15ULL;
 
 /// LWW merge of every answered slot's row.
 storage::Row MergeRowResponses(
@@ -93,10 +86,6 @@ storage::Engine& Server::EngineFor(const std::string& table) {
   return *it->second;
 }
 
-Key Server::PartitionKeyFor(const std::string& table, const Key& key) const {
-  return Key(PartitionViewFor(table, key));
-}
-
 std::string_view Server::PartitionViewFor(const std::string& table,
                                           const Key& key) const {
   const TableDef* def = schema_->GetTable(table);
@@ -137,18 +126,6 @@ void Server::WarmRowCache(const std::string& table, const Key& key) {
   EngineFor(table).GetRow(key);
 }
 
-Timestamp Server::OldestHintTimestamp() const {
-  Timestamp oldest = std::numeric_limits<Timestamp>::max();
-  for (const auto& [target, queue] : hints_) {
-    for (const Hint& hint : queue) {
-      for (const auto& [col, cell] : hint.cells.cells()) {
-        oldest = std::min(oldest, cell.ts);
-      }
-    }
-  }
-  return oldest;
-}
-
 // ---------------------------------------------------------------------------
 // Local replica handlers.
 // ---------------------------------------------------------------------------
@@ -180,11 +157,9 @@ storage::Row Server::LocalRead(const std::string& table, const Key& key,
     metrics_->row_cache_misses += miss_delta;
     if (tracer_ != nullptr && tracer_->current() &&
         (hit_delta > 0 || miss_delta > 0)) {
-      TraceContext span = tracer_->StartSpan(
-          tracer_->current(), hit_delta > 0 ? "cache.hit" : "cache.miss",
-          static_cast<int>(id_), sim_->Now());
-      tracer_->Annotate(span, table + "/" + key);
-      tracer_->EndSpan(span, sim_->Now());
+      tracer_->Mark(tracer_->current(),
+                    hit_delta > 0 ? "cache.hit" : "cache.miss",
+                    static_cast<int>(id_), sim_->Now(), table + "/" + key);
     }
   }
   return result;
@@ -289,11 +264,11 @@ void Server::CoordinateRead(
   spec.name = "read";
   spec.targets = ReplicasOf(table, key);
   spec.quorum = read_quorum;
-  spec.service = config_->perf.read_local;
+  spec.service = FixedService(config_->perf.read_local);
   if (config_->row_cache_entries > 0) {
-    // Resolve the demand on each replica at delivery: a cached row costs
-    // read_cached_local there instead of the full merge.
-    spec.service_at = [table, key](Server& s) {
+    // A cached row costs read_cached_local on its replica instead of the
+    // full merge.
+    spec.service = [table, key](Server& s) {
       return s.ReadServiceFor(table, key);
     };
   }
@@ -304,10 +279,7 @@ void Server::CoordinateRead(
   spec.on_quorum = [callback](Op& op) {
     callback(MergeRowResponses(op.responses()));
   };
-  spec.on_error = [callback = std::move(callback)](Op&,
-                                                   const Status& status) {
-    callback(status);
-  };
+  spec.on_error = Op::FailWith(std::move(callback));
   spec.on_settled = [table, key, collect_all = std::move(collect_all)](
                         Op& op, bool aborted) {
     Server& coord = op.coordinator();
@@ -377,10 +349,7 @@ void Server::CoordinateWrite(const std::string& table, const Key& key,
   spec.hint_key = key;
   spec.hint_cells = cells;
   spec.on_quorum = [callback](Op&) { callback(Status::OK()); };
-  spec.on_error = [callback = std::move(callback)](Op&,
-                                                   const Status& status) {
-    callback(status);
-  };
+  spec.on_error = Op::FailWith(std::move(callback));
   Op::Start(this, std::move(spec));
 }
 
@@ -390,7 +359,7 @@ void Server::SendReplicaWrite(ServerId to, const std::string& table,
                               UniqueFn<void(bool)> on_ack) {
   if (config_->write_batch_max <= 1) {
     CallPeer<bool>(
-        to, service,
+        to, FixedService(service),
         [table, key, cells](Server& s) {
           s.LocalApply(table, key, cells);
           return true;
@@ -415,11 +384,7 @@ void Server::SendReplicaWrite(ServerId to, const std::string& table,
     // a lost ack can only stall parked writes for write_batch_delay. An
     // earlier flush may empty the lane first, in which case the timer
     // flushes whatever newer batch has formed by then (or nothing).
-    const std::uint64_t incarnation = incarnation_;
-    sim_->After(config_->write_batch_delay, [this, to, incarnation] {
-      if (incarnation != incarnation_ || crashed_) return;
-      FlushReplicaWrites(to);
-    });
+    After(config_->write_batch_delay, [this, to] { FlushReplicaWrites(to); });
   }
 }
 
@@ -459,7 +424,7 @@ void Server::FlushReplicaWrites(ServerId to) {
   // One message, one receive overhead, the summed apply demand; the single
   // ack fans back out to every batched mutation's op.
   CallPeer<bool>(
-      to, service,
+      to, FixedService(service),
       [batch = std::move(batch)](Server& s) {
         for (const PendingReplicaWrite& item : batch) {
           s.LocalApply(item.table, item.key, item.cells);
@@ -491,12 +456,12 @@ void Server::CoordinateReadThenWrite(
   spec.name = "get_then_put";
   spec.targets = ReplicasOf(table, key);
   spec.quorum = write_quorum;
-  spec.service = config_->perf.read_local + WriteServiceFor(table, cells);
+  const SimTime write_service = WriteServiceFor(table, cells);
+  spec.service = FixedService(config_->perf.read_local + write_service);
   if (config_->row_cache_entries > 0) {
     // The write half is schema-determined (identical on every server); only
     // the read half depends on the target's cache.
-    const SimTime write_service = WriteServiceFor(table, cells);
-    spec.service_at = [table, key, write_service](Server& s) {
+    spec.service = [table, key, write_service](Server& s) {
       return s.ReadServiceFor(table, key) + write_service;
     };
   }
@@ -509,10 +474,7 @@ void Server::CoordinateReadThenWrite(
   spec.hint_key = key;
   spec.hint_cells = cells;
   spec.on_quorum = [callback](Op&) { callback(Status::OK()); };
-  spec.on_error = [callback = std::move(callback)](Op&,
-                                                   const Status& status) {
-    callback(status);
-  };
+  spec.on_error = Op::FailWith(std::move(callback));
   spec.on_settled = [collect = std::move(collect_pre_images)](Op& op, bool) {
     std::vector<storage::Row> collected;
     for (const auto& row : op.responses()) {
@@ -539,11 +501,11 @@ void Server::CoordinateScan(
   spec.name = "scan";
   spec.targets = ReplicasOf(table, partition_prefix);
   spec.quorum = read_quorum;
-  spec.service = config_->perf.view_scan_local;
+  spec.service = FixedService(config_->perf.view_scan_local);
   if (config_->perf.view_scan_per_row > 0) {
     // Row-proportional scan demand, evaluated against the target's local
     // partition size: the cost that view sub-sharding divides.
-    spec.service_at = [table, partition_prefix,
+    spec.service = [table, partition_prefix,
                        base = config_->perf.view_scan_local,
                        per_row =
                            config_->perf.view_scan_per_row](Server& s) {
@@ -568,10 +530,7 @@ void Server::CoordinateScan(
     }
     callback(std::move(rows));
   };
-  spec.on_error = [callback = std::move(callback)](Op&,
-                                                   const Status& status) {
-    callback(status);
-  };
+  spec.on_error = Op::FailWith(std::move(callback));
   spec.on_settled = [table, read_quorum](Op& op, bool aborted) {
     if (aborted || op.num_responses() < read_quorum) return;
     Server& coord = op.coordinator();
@@ -595,7 +554,7 @@ void Server::CoordinateScan(
                               static_cast<SimTime>(fixes.size());
       std::string t = table;
       coord.CallPeer<bool>(
-          op.targets()[i], service,
+          op.targets()[i], FixedService(service),
           [t, fixes = std::move(fixes)](Server& s) {
             for (const auto& kr : fixes) s.LocalApply(t, kr.key, kr.row);
             return true;
@@ -725,10 +684,7 @@ void Server::HandleClientIndexGet(
     const std::string& table, const ColumnName& column, const Value& value,
     std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback) {
   metrics_->client_index_gets++;
-  if (!AcceptsCoordination()) {
-    callback(Status::Unavailable("server leaving the ring"));
-    return;
-  }
+  if (RejectIfLeaving(callback)) return;
   if (schema_->FindIndex(table, column) == nullptr) {
     callback(Status::NotFound("no index on " + table + "." + column));
     return;
@@ -756,7 +712,7 @@ void Server::CoordinateBroadcastMatch(
   // quorum.
   spec.targets.assign(ring_->members().begin(), ring_->members().end());
   spec.quorum = static_cast<int>(spec.targets.size());
-  spec.service = service;
+  spec.service = FixedService(service);
   spec.request = [probe, table, column, value](Server& server) {
     return (server.*probe)(table, column, value);
   };
@@ -774,10 +730,7 @@ void Server::CoordinateBroadcastMatch(
     }
     callback(std::move(rows));
   };
-  spec.on_error = [callback = std::move(callback)](Op&,
-                                                   const Status& status) {
-    callback(status);
-  };
+  spec.on_error = Op::FailWith(std::move(callback));
   Op::Start(this, std::move(spec));
 }
 
@@ -803,10 +756,7 @@ void Server::HandleClientGet(
     const std::string& table, const Key& key, std::vector<ColumnName> columns,
     int read_quorum, std::function<void(StatusOr<storage::Row>)> callback) {
   metrics_->client_gets++;
-  if (!AcceptsCoordination()) {
-    callback(Status::Unavailable("server leaving the ring"));
-    return;
-  }
+  if (RejectIfLeaving(callback)) return;
   const TableDef* def = schema_->GetTable(table);
   if (def == nullptr) {
     callback(Status::NotFound("no table '" + table + "'"));
@@ -831,10 +781,7 @@ void Server::HandleClientPut(const std::string& table, const Key& key,
                              int write_quorum, SessionId session,
                              std::function<void(Status)> callback) {
   metrics_->client_puts++;
-  if (!AcceptsCoordination()) {
-    callback(Status::Unavailable("server leaving the ring"));
-    return;
-  }
+  if (RejectIfLeaving(callback)) return;
   const TableDef* def = schema_->GetTable(table);
   if (def == nullptr) {
     callback(Status::NotFound("no table '" + table + "'"));
@@ -991,10 +938,7 @@ void Server::HandleClientViewGet(
     ReadConsistency consistency, SimTime max_staleness,
     std::function<void(StatusOr<ViewReadOutcome>)> callback) {
   metrics_->client_view_gets++;
-  if (!AcceptsCoordination()) {
-    callback(Status::Unavailable("server leaving the ring"));
-    return;
-  }
+  if (RejectIfLeaving(callback)) return;
   const ViewDef* view = schema_->GetView(view_name);
   if (view == nullptr) {
     callback(Status::NotFound("no view '" + view_name + "'"));
@@ -1020,73 +964,41 @@ void Server::HandleClientViewGet(
 }
 
 // ---------------------------------------------------------------------------
-// Background anti-entropy.
+// Background ticks and clock-driven compaction (tombstone GC in the service
+// model).
 // ---------------------------------------------------------------------------
 
 void Server::Start() {
   // Capacity slots that never joined (and servers that left) stay silent
   // until ActivateForJoin arms them.
   if (membership_ == MembershipState::kLeft) return;
-  ScheduleBackgroundTicks();
+  SchedulePeriodic(
+      config_->anti_entropy_interval, [this] { return anti_entropy_.Active(); },
+      [this] { anti_entropy_.RunRound(); });
+  SchedulePeriodic(
+      config_->hint_replay_interval, [this] { return is_member(); },
+      [this] { hints_.Replay(); });
+  SchedulePeriodic(
+      config_->compaction_interval, [this] { return is_member(); },
+      [this] { RunCompactionRound(); });
 }
 
-void Server::ScheduleBackgroundTicks() {
-  // Tick chains belong to one process incarnation: when the server crashes,
-  // the pending chain link notices the incarnation changed and dies;
-  // Restart() arms a fresh chain.
-  const std::uint64_t incarnation = incarnation_;
-  if (config_->anti_entropy_interval > 0) {
-    // Stagger the servers so rounds do not align.
-    const SimTime phase = config_->anti_entropy_interval *
-                          static_cast<SimTime>(id_ + 1) /
-                          static_cast<SimTime>(config_->num_servers);
-    sim_->After(phase, [this, incarnation] {
-      if (incarnation == incarnation_) AntiEntropyTick();
-    });
-  }
-  if (config_->hint_replay_interval > 0) {
-    const SimTime phase = config_->hint_replay_interval *
-                          static_cast<SimTime>(id_ + 1) /
-                          static_cast<SimTime>(config_->num_servers);
-    sim_->After(phase, [this, incarnation] {
-      if (incarnation == incarnation_) HintReplayTick();
-    });
-  }
-  if (config_->compaction_interval > 0) {
-    const SimTime phase = config_->compaction_interval *
-                          static_cast<SimTime>(id_ + 1) /
-                          static_cast<SimTime>(config_->num_servers);
-    sim_->After(phase, [this, incarnation] {
-      if (incarnation == incarnation_) CompactionTick();
-    });
-  }
+void Server::SchedulePeriodic(SimTime interval, std::function<bool()> guard,
+                              std::function<void()> body) {
+  if (interval <= 0) return;
+  const SimTime phase = interval * static_cast<SimTime>(id_ + 1) /
+                        static_cast<SimTime>(config_->num_servers);
+  ArmPeriodic(phase, interval, std::move(guard), std::move(body));
 }
 
-void Server::AntiEntropyTick() {
-  if (crashed_) return;
-  // A draining server shares no ranges with anyone (it already left the
-  // ring); its handoff runs through the decommission streams instead.
-  if (membership_ == MembershipState::kLeft ||
-      membership_ == MembershipState::kDraining) {
-    return;
-  }
-  RunAntiEntropyRound();
-  const std::uint64_t incarnation = incarnation_;
-  sim_->After(config_->anti_entropy_interval, [this, incarnation] {
-    if (incarnation == incarnation_) AntiEntropyTick();
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Clock-driven compaction (tombstone GC in the service model).
-// ---------------------------------------------------------------------------
-
-void Server::CompactionTick() {
-  if (crashed_ || membership_ == MembershipState::kLeft) return;
-  RunCompactionRound();
-  const std::uint64_t incarnation = incarnation_;
-  sim_->After(config_->compaction_interval, [this, incarnation] {
-    if (incarnation == incarnation_) CompactionTick();
+void Server::ArmPeriodic(SimTime delay, SimTime interval,
+                         std::function<bool()> guard,
+                         std::function<void()> body) {
+  After(delay, [this, interval, guard = std::move(guard),
+                body = std::move(body)]() mutable {
+    if (!guard()) return;
+    body();
+    ArmPeriodic(interval, interval, std::move(guard), std::move(body));
   });
 }
 
@@ -1103,136 +1015,14 @@ void Server::RunCompactionRound() {
       // the GC cutoff in the client-timestamp domain, and the purge floor
       // from whatever hints are STILL pending when the merge actually runs.
       const Timestamp now = kClientTimestampEpoch + sim_->Now();
-      const storage::GcStats stats = eng->Compact(now, OldestHintTimestamp());
+      const storage::GcStats stats =
+          eng->Compact(now, hints_.OldestTimestamp());
       metrics_->compactions_run++;
       metrics_->tombstones_purged += stats.tombstones_purged;
       metrics_->tombstone_purge_deferred += stats.tombstones_deferred;
       metrics_->stage_compaction.Record(demand);
     });
   }
-}
-
-std::vector<std::uint64_t> Server::ComputeSyncDigests(const std::string& table,
-                                                      ServerId peer,
-                                                      int buckets) const {
-  std::vector<std::uint64_t> digests(static_cast<std::size_t>(buckets), 0);
-  auto it = engines_.find(table);
-  if (it == engines_.end()) return digests;
-  // Sum (mod 2^64) of salted entry hashes, folded with the bucket's row
-  // count. Addition is commutative, so the digest is still set-like — but
-  // unlike the XOR combiner this used to be, it is not a GF(2) linear map:
-  // with XOR, any bucket whose entry hashes form a linearly dependent set
-  // (guaranteed once a bucket holds > 64 rows, and constructible with far
-  // fewer) could cancel to the same digest on two replicas holding
-  // DIFFERENT rows, silently skipping the bucket forever.
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(buckets), 0);
-  it->second->ForEach([&](const Key& key, const storage::Row& row) {
-    const auto& replicas = ReplicasOf(table, key);
-    const bool shared =
-        std::find(replicas.begin(), replicas.end(), id_) != replicas.end() &&
-        std::find(replicas.begin(), replicas.end(), peer) != replicas.end();
-    if (!shared) return;
-    const std::uint64_t key_hash = Hash64(key);
-    const std::size_t bucket =
-        key_hash % static_cast<std::uint64_t>(buckets);
-    digests[bucket] +=
-        HashCombine(HashCombine(key_hash, storage::RowDigest(row)),
-                    kSyncDigestSalt);
-    ++counts[bucket];
-  });
-  for (std::size_t b = 0; b < digests.size(); ++b) {
-    // Empty buckets stay 0 so a server with no engine for the table (all-zero
-    // fast path above) agrees with a peer that has the engine but no shared
-    // rows.
-    if (counts[b] > 0) digests[b] = HashCombine(digests[b], counts[b]);
-  }
-  return digests;
-}
-
-std::vector<storage::KeyedRow> Server::CollectBucketRows(
-    const std::string& table, ServerId peer, const std::vector<int>& buckets,
-    int total_buckets) const {
-  std::vector<storage::KeyedRow> rows;
-  auto it = engines_.find(table);
-  if (it == engines_.end()) return rows;
-  std::vector<bool> wanted(static_cast<std::size_t>(total_buckets), false);
-  for (int bucket : buckets) wanted[static_cast<std::size_t>(bucket)] = true;
-  it->second->ForEach([&](const Key& key, const storage::Row& row) {
-    const std::size_t bucket =
-        Hash64(key) % static_cast<std::uint64_t>(total_buckets);
-    if (!wanted[bucket]) return;
-    const auto& replicas = ReplicasOf(table, key);
-    const bool shared =
-        std::find(replicas.begin(), replicas.end(), id_) != replicas.end() &&
-        std::find(replicas.begin(), replicas.end(), peer) != replicas.end();
-    if (shared) rows.push_back(storage::KeyedRow{key, row});
-  });
-  return rows;
-}
-
-void Server::SyncTableWithPeer(const std::string& table, ServerId peer) {
-  const int buckets = config_->anti_entropy_buckets;
-  const std::vector<std::uint64_t> mine =
-      ComputeSyncDigests(table, peer, buckets);
-  metrics_->anti_entropy_digest_exchanges++;
-  const ServerId self_id = id_;
-  // Phase 1: the peer compares digests and answers with mismatched buckets.
-  CallPeer<std::vector<int>>(
-      peer, config_->perf.read_local,
-      [table, self_id, buckets, mine](Server& s) {
-        const std::vector<std::uint64_t> theirs =
-            s.ComputeSyncDigests(table, self_id, buckets);
-        std::vector<int> mismatched;
-        for (int b = 0; b < buckets; ++b) {
-          if (mine[static_cast<std::size_t>(b)] !=
-              theirs[static_cast<std::size_t>(b)]) {
-            mismatched.push_back(b);
-          }
-        }
-        return mismatched;
-      },
-      [this, table, peer, buckets](std::vector<int> mismatched) {
-        if (mismatched.empty()) return;
-        metrics_->anti_entropy_buckets_synced += mismatched.size();
-        // Phase 2: ship our rows of the mismatched buckets; the peer applies
-        // them and answers with ITS rows of the same buckets (bidirectional).
-        std::vector<storage::KeyedRow> ours =
-            CollectBucketRows(table, peer, mismatched, buckets);
-        metrics_->anti_entropy_rows_pushed += ours.size();
-        const ServerId self_id2 = id_;
-        const SimTime service =
-            config_->perf.write_local *
-            static_cast<SimTime>(ours.size() + 1);
-        CallPeer<std::vector<storage::KeyedRow>>(
-            peer, service,
-            [table, self_id2, mismatched, buckets,
-             ours = std::move(ours)](Server& s) {
-              for (const auto& kr : ours) s.LocalApply(table, kr.key, kr.row);
-              return s.CollectBucketRows(table, self_id2, mismatched, buckets);
-            },
-            [this, table](std::vector<storage::KeyedRow> theirs) {
-              metrics_->anti_entropy_rows_pushed += theirs.size();
-              for (const auto& kr : theirs) LocalApply(table, kr.key, kr.row);
-            });
-      });
-}
-
-void Server::RunAntiEntropyRound() {
-  // Each round is its own root trace: background repair has no client
-  // operation to hang off, but its fan-out is still worth reconstructing.
-  TraceContext round;
-  if (tracer_ != nullptr) {
-    round = tracer_->StartTrace("anti_entropy.round", static_cast<int>(id_),
-                                sim_->Now());
-  }
-  Tracer::Scope scope(tracer_, round);
-  for (ServerId peer : ring_->members()) {
-    if (peer == id_) continue;
-    for (const auto& [table, engine] : engines_) {
-      SyncTableWithPeer(table, peer);
-    }
-  }
-  if (round) tracer_->EndSpan(round, sim_->Now());
 }
 
 // ---------------------------------------------------------------------------
@@ -1242,14 +1032,12 @@ void Server::RunAntiEntropyRound() {
 std::uint64_t Server::RegisterInflightOp(
     std::function<void()> abort, std::function<void(ServerId)> retarget) {
   const std::uint64_t op_id = ++next_op_id_;
-  inflight_aborts_.emplace(op_id, std::move(abort));
-  if (retarget) inflight_retargets_.emplace(op_id, std::move(retarget));
+  inflight_.emplace(op_id, InflightOp{std::move(abort), std::move(retarget)});
   return op_id;
 }
 
 void Server::DeregisterInflightOp(std::uint64_t op_id) {
-  inflight_aborts_.erase(op_id);
-  inflight_retargets_.erase(op_id);
+  inflight_.erase(op_id);
 }
 
 void Server::Crash() {
@@ -1257,38 +1045,35 @@ void Server::Crash() {
   crashed_ = true;
   metrics_->server_crashes++;
 
-  // 1. The view engine loses this server's share of its volatile state
-  //    (propagation tasks, session bookkeeping, propagator queues) FIRST, so
-  //    the abort callbacks below cannot resurrect work on a dead process.
+  // The view engine loses this server's share of its volatile state
+  // (propagation tasks, session bookkeeping, propagator queues) FIRST, so
+  // the abort callbacks in Shutdown cannot resurrect work on a dead process.
   if (view_hook_ != nullptr) view_hook_->OnServerCrash(this);
-
-  // 2. Abort every in-flight coordinator operation. Internal callers (the
-  //    propagation machines) get their error callbacks synchronously; client
-  //    replies travel through WrapReply -> Enqueue, which is guarded by the
-  //    incarnation bump below, so clients learn of the crash only through
-  //    their own request timeouts — exactly like a real silent crash.
-  auto aborts = std::move(inflight_aborts_);
-  inflight_aborts_.clear();
-  inflight_retargets_.clear();
-  for (auto& [op_id, abort] : aborts) abort();
-  metrics_->inflight_ops_aborted += aborts.size();
-
-  // 3. Volatile state dies with the process: memtables (the commit logs and
-  //    flushed runs are durable), stored hints, parked replica-write
-  //    batches, and the run-queue backlog.
+  Shutdown();
+  // Memtables die too (the commit logs and flushed runs are durable).
   for (auto& [table, engine] : engines_) engine->LoseVolatileState();
-  hints_.clear();
-  write_lanes_.clear();
   freshness_cache_.by_view.clear();
-  queue_.Reset();
-  // Membership stream progress is volatile too; Restart rebuilds the task
-  // list from the (durable) join/decommission plan and streams from scratch.
-  stream_tasks_.clear();
-  stream_pull_pending_ = false;
+}
 
-  // 4. Disappear from the network. Bumping the incarnation (a) drops every
-  //    in-flight message to/from the dead process at delivery time and
-  //    (b) invalidates every closure the old incarnation enqueued.
+void Server::Shutdown() {
+  // Internal callers (the propagation machines) get their error callbacks
+  // synchronously; client replies travel through WrapReply -> Enqueue,
+  // which is guarded by the incarnation bump below, so clients learn of the
+  // crash only through their own request timeouts — exactly like a real
+  // silent crash.
+  auto ops = std::move(inflight_);
+  inflight_.clear();
+  for (auto& [op_id, op] : ops) op.abort();
+  metrics_->inflight_ops_aborted += ops.size();
+
+  hints_.Clear();
+  write_lanes_.clear();
+  queue_.Reset();
+  streamer_.Reset();
+
+  // Bumping the incarnation (a) drops every in-flight message to/from the
+  // dead process at delivery time and (b) invalidates every closure the old
+  // incarnation enqueued.
   ++incarnation_;
   network_->BumpIncarnation(id_);
   network_->SetEndpointDown(id_, true);
@@ -1310,9 +1095,10 @@ void Server::Restart() {
   }
 
   // Catch up with the writes this replica missed while down: re-arm the
-  // periodic ticks and run one anti-entropy round right away.
-  ScheduleBackgroundTicks();
-  RunAntiEntropyRound();
+  // periodic ticks and run one anti-entropy round right away (a draining
+  // server shares no ranges, so its round is skipped).
+  Start();
+  anti_entropy_.RunRound();
 
   // Let the view engine re-scrub the ranges this server owns, adopting
   // propagations orphaned by the crash.
@@ -1320,128 +1106,12 @@ void Server::Restart() {
 
   // A membership transition interrupted by the crash resumes: the plans are
   // durable intent records, only the stream cursors died with the process.
-  if (membership_ == MembershipState::kJoining) {
-    BuildStreamTasks(join_plan_);
-    stream_min_ts_ = 0;
-    PumpStream();
-  } else if (membership_ == MembershipState::kDraining) {
-    decommission_phase_ = 1;
-    stream_min_ts_ = 0;
-    BuildStreamTasks(decommission_plan_);
-    PumpStream();
-  }
+  streamer_.Resume();
 }
 
 // ---------------------------------------------------------------------------
-// Hinted handoff.
-// ---------------------------------------------------------------------------
-
-void Server::StoreHint(ServerId target, const std::string& table,
-                       const Key& key, const storage::Row& cells) {
-  // A write owed to a server on its way out of the ring (or already gone)
-  // must not park behind it — the target will never come back for it.
-  // Re-coordinate straight to the key's current replicas instead.
-  if (peers_ != nullptr) {
-    const MembershipState target_state = (*peers_)[target]->membership();
-    if (target_state == MembershipState::kDraining ||
-        target_state == MembershipState::kLeft) {
-      metrics_->member_hints_rerouted++;
-      RerouteWriteToCurrentReplicas(table, key, cells);
-      return;
-    }
-  }
-  std::deque<Hint>& queue = hints_[target];
-  if (queue.size() >= config_->max_hints_per_target) {
-    queue.pop_front();  // oldest first; anti-entropy is the backstop
-    metrics_->hints_dropped++;
-  }
-  Hint hint{table, key, cells, {}};
-  if (tracer_ != nullptr) {
-    hint.trace = tracer_->current();
-    if (hint.trace) {
-      TraceContext span = tracer_->StartSpan(
-          hint.trace, "hint.stored", static_cast<int>(id_), sim_->Now());
-      tracer_->Annotate(span, "target=" + std::to_string(target));
-      tracer_->EndSpan(span, sim_->Now());
-    }
-  }
-  queue.push_back(std::move(hint));
-  metrics_->hints_stored++;
-}
-
-std::size_t Server::pending_hints(ServerId target) const {
-  auto it = hints_.find(target);
-  return it == hints_.end() ? 0 : it->second.size();
-}
-
-void Server::HintReplayTick() {
-  if (crashed_ || membership_ == MembershipState::kLeft) return;
-  ReplayHints();
-  const std::uint64_t incarnation = incarnation_;
-  sim_->After(config_->hint_replay_interval, [this, incarnation] {
-    if (incarnation == incarnation_) HintReplayTick();
-  });
-}
-
-void Server::ReplayHints() {
-  for (auto& [target, queue] : hints_) {
-    if (queue.empty()) continue;
-    // The target left the ring since these queued: replaying at it is
-    // pointless, move the writes to the keys' current replicas.
-    if (peers_ != nullptr && !(*peers_)[target]->is_member()) {
-      RerouteHintsFor(target);
-      continue;
-    }
-    // Ship the whole queue; drop it only when the target acknowledges.
-    // (Re-delivery after a lost ack is harmless: LWW applies are
-    // idempotent.)
-    auto batch =
-        std::make_shared<std::vector<Hint>>(queue.begin(), queue.end());
-    const std::size_t count = batch->size();
-    if (tracer_ != nullptr) {
-      // Instant markers tie each originating write's trace to the replay
-      // attempt that finally delivers it.
-      for (const Hint& hint : *batch) {
-        if (!hint.trace) continue;
-        TraceContext span = tracer_->StartSpan(
-            hint.trace, "hint.replay", static_cast<int>(id_), sim_->Now());
-        tracer_->Annotate(span, "target=" + std::to_string(target));
-        tracer_->EndSpan(span, sim_->Now());
-      }
-    }
-    // The replay is a single-target QuorumOp: it inherits the framework's
-    // silence retry, crash abort, and uniform tracing for free.
-    const ServerId target_id = target;
-    using Op = QuorumOp<bool>;
-    Op::Spec spec;
-    spec.name = "hint_replay";
-    spec.targets = {target_id};
-    spec.quorum = 1;
-    spec.service = config_->perf.write_local * static_cast<SimTime>(count);
-    spec.request = [batch](Server& s) {
-      for (const Hint& hint : *batch) {
-        s.LocalApply(hint.table, hint.key, hint.cells);
-      }
-      return true;
-    };
-    spec.quorum_error = "hint replay unacknowledged";
-    spec.on_quorum = [this, target_id, count](Op&) {
-      // Acked: retire the replayed prefix (new hints may have queued
-      // behind it meanwhile).
-      std::deque<Hint>& q = hints_[target_id];
-      const std::size_t drop = std::min(count, q.size());
-      q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(drop));
-      metrics_->hints_replayed += drop;
-    };
-    spec.on_error = [](Op&, const Status&) {
-      // Target still unreachable: the queue stays put for the next tick.
-    };
-    Op::Start(this, std::move(spec));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Elastic membership: join bootstrap, decommission handoff, hint/op fixups.
+// Elastic membership: the server side of a join, and in-flight op fixups.
+// The range streams live in MemberStreamer.
 // ---------------------------------------------------------------------------
 
 void Server::MarkNeverJoined() {
@@ -1460,408 +1130,15 @@ void Server::ActivateForJoin() {
   network_->SetEndpointDown(id_, false);
   membership_ = MembershipState::kJoining;
   metrics_->member_joins_started++;
-  if (tracer_ != nullptr) {
-    member_trace_ =
-        tracer_->StartTrace("member.join", static_cast<int>(id_), sim_->Now());
-  }
-  ScheduleBackgroundTicks();
-}
-
-void Server::BeginJoinStream(std::vector<Ring::RangeTransfer> plan) {
-  MVSTORE_CHECK(membership_ == MembershipState::kJoining);
-  join_plan_ = std::move(plan);
-  stream_min_ts_ = 0;
-  BuildStreamTasks(join_plan_);
-  PumpStream();
-}
-
-void Server::BeginDecommission(std::vector<Ring::RangeTransfer> plan) {
-  MVSTORE_CHECK(membership_ == MembershipState::kServing)
-      << "server " << id_ << " is not serving";
-  MVSTORE_CHECK(!crashed_);
-  membership_ = MembershipState::kDraining;
-  decommission_plan_ = std::move(plan);
-  metrics_->member_leaves_started++;
-  if (tracer_ != nullptr) {
-    member_trace_ = tracer_->StartTrace("member.drain", static_cast<int>(id_),
-                                        sim_->Now());
-  }
-  drain_deadline_ = sim_->Now() + config_->decommission_drain_timeout;
-  // Writes coordinated while the ring change raced this call may still land
-  // here; the tail sweep (phase 2) re-ships anything stamped since shortly
-  // before the full sweep began. Client timestamps are epoch + client time.
-  tail_cutoff_ = kClientTimestampEpoch +
-                 (sim_->Now() > Seconds(1) ? sim_->Now() - Seconds(1) : 0);
-  decommission_phase_ = 1;
-  stream_min_ts_ = 0;
-  BuildStreamTasks(decommission_plan_);
-  PumpStream();
-}
-
-void Server::BuildStreamTasks(const std::vector<Ring::RangeTransfer>& plan) {
-  stream_tasks_.clear();
-  stream_pull_pending_ = false;
-  for (const Ring::RangeTransfer& transfer : plan) {
-    // No peers: the remaining members already replicate the range (leave at
-    // low replication pressure) — nothing to move.
-    if (transfer.peers.empty()) continue;
-    for (const std::string& table : schema_->TableNames()) {
-      if (membership_ == MembershipState::kDraining) {
-        // Push: one task per NEW owner — each must receive its own copy.
-        for (ServerId owner : transfer.peers) {
-          stream_tasks_.push_back(
-              StreamTask{table, transfer.range, {owner}, Key{}, 0, 0});
-        }
-      } else {
-        // Pull: one task per range, rotating through the sources on retry.
-        stream_tasks_.push_back(
-            StreamTask{table, transfer.range, transfer.peers, Key{}, 0, 0});
-      }
-    }
-  }
-}
-
-void Server::PumpStream() {
-  if (crashed_ || stream_pull_pending_) return;
-  if (membership_ != MembershipState::kJoining &&
-      membership_ != MembershipState::kDraining) {
-    return;
-  }
-  if (stream_tasks_.empty()) {
-    if (membership_ == MembershipState::kJoining) {
-      FinishJoin();
-    } else {
-      ContinueDecommission();
-    }
-    return;
-  }
-
-  StreamTask& task = stream_tasks_.front();
-  const std::uint64_t seq = ++stream_seq_;
-  stream_pull_pending_ = true;
-  const int limit = std::max(1, config_->join_stream_batch);
-  const std::string table = task.table;
-  const Ring::TokenRange range = task.range;
-  const Key from = task.cursor;
-  const Timestamp min_ts = stream_min_ts_;
-  const int attempt = task.attempt;
-
-  if (membership_ == MembershipState::kJoining) {
-    // Pull the next slice from a source replica.
-    const ServerId source =
-        task.peers[static_cast<std::size_t>(attempt) % task.peers.size()];
-    CallPeer<RangeSlice>(
-        source, config_->perf.view_scan_local,
-        [table, range, from, limit, min_ts](Server& s) {
-          return s.CollectRangeRows(table, range, from, limit, min_ts);
-        },
-        [this, seq, table](RangeSlice slice) {
-          if (seq != stream_seq_) return;  // superseded by a retry
-          // Applying the slice is real replica work: charge it through the
-          // service queue before acknowledging progress.
-          const SimTime service =
-              config_->perf.write_local *
-              static_cast<SimTime>(slice.rows.size() + 1);
-          Enqueue(service, [this, seq, table,
-                            slice = std::move(slice)]() mutable {
-            if (seq != stream_seq_) return;
-            for (const auto& kr : slice.rows) {
-              LocalApply(table, kr.key, kr.row);
-            }
-            StreamSliceSettled(seq, true, slice.rows.size(), slice.resume,
-                               slice.done);
-          });
-        });
-  } else {
-    // Decommission push: collect locally (scan demand on our own cores),
-    // then ship the slice to the single new owner of this task.
-    const ServerId target = task.peers.front();
-    Enqueue(config_->perf.view_scan_local, [this, seq, table, range, from,
-                                            limit, min_ts, target] {
-      if (seq != stream_seq_) return;
-      RangeSlice slice = CollectRangeRows(table, range, from, limit, min_ts);
-      const std::size_t n = slice.rows.size();
-      const Key resume = slice.resume;
-      const bool done = slice.done;
-      if (n == 0) {  // nothing (left) in this slice: just advance the cursor
-        StreamSliceSettled(seq, true, 0, resume, done);
-        return;
-      }
-      const SimTime service =
-          config_->perf.write_local * static_cast<SimTime>(n + 1);
-      auto rows =
-          std::make_shared<std::vector<storage::KeyedRow>>(
-              std::move(slice.rows));
-      CallPeer<bool>(
-          target, service,
-          [table, rows](Server& s) {
-            for (const auto& kr : *rows) s.LocalApply(table, kr.key, kr.row);
-            return true;
-          },
-          [this, seq, n, resume, done](bool) {
-            StreamSliceSettled(seq, true, n, resume, done);
-          });
-    });
-  }
-
-  // Arm the silence probe: an unacknowledged slice is re-requested from the
-  // last acked cursor after a linearly growing backoff, rotating to the next
-  // candidate source. Idempotent on the receiving side (LWW applies).
-  const std::uint64_t incarnation = incarnation_;
-  sim_->After(config_->rpc_timeout, [this, incarnation, seq] {
-    if (incarnation != incarnation_ || seq != stream_seq_ ||
-        !stream_pull_pending_) {
-      return;
-    }
-    stream_pull_pending_ = false;
-    metrics_->member_stream_retries++;
-    // A draining server cannot wait forever on an unreachable new owner:
-    // past the drain deadline the remaining slices for that range are
-    // abandoned (counted as a forced drain) and the surviving replicas'
-    // anti-entropy covers the gap once the owner returns. A joiner has no
-    // such deadline — it keeps rotating sources until one answers.
-    if (membership_ == MembershipState::kDraining &&
-        sim_->Now() >= drain_deadline_ && !stream_tasks_.empty()) {
-      metrics_->member_drains_forced++;
-      FinishStreamTask();
-      PumpStream();
-      return;
-    }
-    int next_attempt = 1;
-    if (!stream_tasks_.empty()) {
-      next_attempt = ++stream_tasks_.front().attempt;
-    }
-    const SimTime backoff =
-        config_->join_stream_retry_backoff *
-        static_cast<SimTime>(std::min(next_attempt, 8));
-    sim_->After(backoff, [this, incarnation] {
-      if (incarnation == incarnation_) PumpStream();
-    });
-  });
-}
-
-void Server::StreamSliceSettled(std::uint64_t seq, bool ok,
-                                std::size_t rows_acked, Key resume,
-                                bool done) {
-  if (seq != stream_seq_) return;  // a retry superseded this slice
-  stream_pull_pending_ = false;
-  if (stream_tasks_.empty()) return;
-  StreamTask& task = stream_tasks_.front();
-  if (ok) {
-    task.cursor = std::move(resume);
-    task.attempt = 0;
-    task.rows_streamed += rows_acked;
-    metrics_->member_rows_streamed += rows_acked;
-    if (done) FinishStreamTask();
-  }
-  PumpStream();
-}
-
-void Server::FinishStreamTask() {
-  const StreamTask& task = stream_tasks_.front();
-  metrics_->member_ranges_streamed++;
-  EmitMemberSpan("member.stream_range",
-                 task.table + " rows=" + std::to_string(task.rows_streamed) +
-                     " peer=" + std::to_string(task.peers.front()));
-  stream_tasks_.pop_front();
-}
-
-void Server::FinishJoin() {
-  membership_ = MembershipState::kServing;
-  join_plan_.clear();
-  metrics_->member_joins_completed++;
-  if (tracer_ != nullptr && member_trace_) {
-    tracer_->EndSpan(member_trace_, sim_->Now());
-    member_trace_ = {};
-  }
-  // The streams carried a snapshot; one immediate anti-entropy round closes
-  // any gap with writes replicated while the bootstrap was in flight.
-  RunAntiEntropyRound();
-  if (view_hook_ != nullptr) view_hook_->OnServerJoin(this);
-}
-
-void Server::ContinueDecommission() {
-  if (decommission_phase_ == 1) {
-    // Full sweep done. Tail sweep: only rows stamped since shortly before
-    // the full sweep began (straggler writes in flight at the ring change).
-    decommission_phase_ = 2;
-    stream_min_ts_ = tail_cutoff_;
-    BuildStreamTasks(decommission_plan_);
-    PumpStream();
-  } else if (decommission_phase_ == 2) {
-    decommission_phase_ = 3;
-    DrainHintsThenLeave();
-  }
-}
-
-void Server::DrainHintsThenLeave() {
-  if (crashed_ || membership_ != MembershipState::kDraining) return;
-  if (hints_outstanding() == 0) {
-    FinishLeave(/*forced=*/false);
-    return;
-  }
-  if (sim_->Now() >= drain_deadline_) {
-    // The deadline expired with hints still owed: the data must not leave
-    // with this server, so re-send every queued write to the keys' current
-    // replicas and go.
-    ForceRerouteOwnHints();
-    FinishLeave(/*forced=*/true);
-    return;
-  }
-  ReplayHints();
-  const std::uint64_t incarnation = incarnation_;
-  sim_->After(Millis(100), [this, incarnation] {
-    if (incarnation == incarnation_) DrainHintsThenLeave();
-  });
-}
-
-void Server::ForceRerouteOwnHints() {
-  metrics_->member_drains_forced++;
-  for (auto& [target, queue] : hints_) {
-    std::deque<Hint> moved;
-    moved.swap(queue);
-    for (const Hint& hint : moved) {
-      metrics_->member_hints_rerouted++;
-      RerouteWriteToCurrentReplicas(hint.table, hint.key, hint.cells);
-    }
-  }
-}
-
-void Server::FinishLeave(bool forced) {
-  MVSTORE_CHECK(membership_ == MembershipState::kDraining);
-  EmitMemberSpan("member.leave",
-                 forced ? std::string("forced") : std::string("drained"));
-
-  // Same shutdown order as Crash: the view engine sheds this server's share
-  // of volatile maintenance state first, then in-flight coordinator ops
-  // (internal ones — hint replays, view maintenance — may still be open;
-  // drain already rejected new client coordination) get their error
-  // callbacks.
-  if (view_hook_ != nullptr) view_hook_->OnServerLeave(this);
-  auto aborts = std::move(inflight_aborts_);
-  inflight_aborts_.clear();
-  inflight_retargets_.clear();
-  for (auto& [op_id, abort] : aborts) abort();
-  metrics_->inflight_ops_aborted += aborts.size();
-
-  if (!forced) {
-    MVSTORE_CHECK_EQ(hints_outstanding(), std::size_t{0})
-        << "server " << id_ << " left with hints still owed";
-  }
-  hints_.clear();
-  write_lanes_.clear();
-  queue_.Reset();
-  stream_tasks_.clear();
-  stream_pull_pending_ = false;
-  decommission_plan_.clear();
-  decommission_phase_ = 0;
-  membership_ = MembershipState::kLeft;
-  metrics_->member_leaves_completed++;
-  if (tracer_ != nullptr && member_trace_) {
-    tracer_->EndSpan(member_trace_, sim_->Now());
-    member_trace_ = {};
-  }
-  // Gone: stale in-flight messages to/from this life drop at delivery.
-  ++incarnation_;
-  network_->BumpIncarnation(id_);
-  network_->SetEndpointDown(id_, true);
-}
-
-void Server::RerouteWriteToCurrentReplicas(const std::string& table,
-                                           const Key& key,
-                                           const storage::Row& cells) {
-  for (ServerId replica : ReplicasOf(table, key)) {
-    if (replica == id_) {
-      Enqueue(WriteServiceFor(table, cells),
-              [this, table, key, cells] { LocalApply(table, key, cells); });
-      continue;
-    }
-    SendReplicaWrite(replica, table, key, cells, WriteServiceFor(table, cells),
-                     [this, replica, table, key, cells](bool acked) {
-                       if (!acked) StoreHint(replica, table, key, cells);
-                     });
-  }
-}
-
-void Server::RerouteHintsFor(ServerId departed) {
-  auto it = hints_.find(departed);
-  if (it == hints_.end() || it->second.empty()) return;
-  std::deque<Hint> moved;
-  moved.swap(it->second);
-  for (const Hint& hint : moved) {
-    metrics_->member_hints_rerouted++;
-    if (tracer_ != nullptr && hint.trace) {
-      TraceContext span = tracer_->StartSpan(
-          hint.trace, "hint.rerouted", static_cast<int>(id_), sim_->Now());
-      tracer_->Annotate(span, "departed=" + std::to_string(departed));
-      tracer_->EndSpan(span, sim_->Now());
-    }
-    RerouteWriteToCurrentReplicas(hint.table, hint.key, hint.cells);
-  }
+  Start();
 }
 
 void Server::RetargetInflightOps(ServerId departed) {
   // Snapshot first: a retargeted op may complete synchronously and
   // deregister itself, mutating the map under iteration.
   std::vector<std::function<void(ServerId)>> retargets;
-  retargets.reserve(inflight_retargets_.size());
-  for (const auto& [op_id, fn] : inflight_retargets_) {
-    retargets.push_back(fn);
-  }
+  for (const auto& [op_id, op] : inflight_) retargets.push_back(op.retarget);
   for (auto& fn : retargets) fn(departed);
-}
-
-std::size_t Server::hints_outstanding() const {
-  std::size_t total = 0;
-  for (const auto& [target, queue] : hints_) total += queue.size();
-  return total;
-}
-
-Server::RangeSlice Server::CollectRangeRows(const std::string& table,
-                                            Ring::TokenRange range,
-                                            const Key& from, int limit,
-                                            Timestamp min_ts) const {
-  RangeSlice slice;
-  auto it = engines_.find(table);
-  if (it == engines_.end()) return slice;  // nothing stored: done
-  // Bounded window of keys in the range past the cursor (cheap: no row
-  // merges), then point lookups for just those rows. The cursor advances
-  // over EXAMINED keys, so a min_ts tail sweep that filters everything out
-  // still makes progress.
-  bool more = false;
-  const std::vector<Key> keys = it->second->CollectKeysAfter(
-      from, limit,
-      [&](const Key& key) {
-        return range.Covers(Ring::TokenOf(PartitionViewFor(table, key)));
-      },
-      &more);
-  slice.done = !more;
-  if (keys.empty()) return slice;
-  slice.resume = keys.back();
-  for (const Key& key : keys) {
-    auto row = it->second->GetRow(key);
-    if (!row.has_value()) continue;
-    if (min_ts > 0) {
-      bool fresh = false;
-      for (const auto& [col, cell] : row->cells()) {
-        if (cell.ts >= min_ts) {
-          fresh = true;
-          break;
-        }
-      }
-      if (!fresh) continue;
-    }
-    slice.rows.push_back(storage::KeyedRow{key, *std::move(row)});
-  }
-  return slice;
-}
-
-void Server::EmitMemberSpan(const char* name, const std::string& note) {
-  if (tracer_ == nullptr || !member_trace_) return;
-  TraceContext span = tracer_->StartSpan(member_trace_, name,
-                                         static_cast<int>(id_), sim_->Now());
-  if (!note.empty()) tracer_->Annotate(span, note);
-  tracer_->EndSpan(span, sim_->Now());
 }
 
 }  // namespace mvstore::store

@@ -30,9 +30,12 @@
 #include "sim/service_queue.h"
 #include "sim/simulation.h"
 #include "storage/engine.h"
+#include "store/anti_entropy.h"
 #include "store/config.h"
 #include "store/freshness.h"
+#include "store/hint_store.h"
 #include "store/hooks.h"
+#include "store/member_streamer.h"
 #include "store/metrics.h"
 #include "store/ring.h"
 #include "store/schema.h"
@@ -65,7 +68,7 @@ struct ScatterScanResult {
 /// Restart).
 ///
 ///   kLeft ──ActivateForJoin──▶ kJoining ──stream done──▶ kServing
-///   kServing ──BeginDecommission──▶ kDraining ──streamed+drained──▶ kLeft
+///   kServing ──BeginLeave──▶ kDraining ──streamed+drained──▶ kLeft
 enum class MembershipState { kServing, kJoining, kDraining, kLeft };
 
 class Server {
@@ -105,7 +108,8 @@ class Server {
   /// Restarts a crashed server: replays the per-table commit logs into fresh
   /// memtables, rejoins the ring (endpoint back up, new incarnation already
   /// in effect), re-arms background tasks, kicks one anti-entropy round to
-  /// catch up with peers, and lets the view hook re-scrub owned ranges.
+  /// catch up with peers, lets the view hook re-scrub owned ranges, and
+  /// resumes an interrupted join or decommission.
   void Restart();
 
   bool crashed() const { return crashed_; }
@@ -117,7 +121,7 @@ class Server {
   // ---------------------------------------------------------------------
   // Elastic membership (ISSUE 6). The Cluster drives the transitions: it
   // owns the ring, so it performs the token (re)assignment and hands the
-  // affected ranges down.
+  // affected ranges down to streamer().
   // ---------------------------------------------------------------------
 
   MembershipState membership() const { return membership_; }
@@ -132,56 +136,35 @@ class Server {
     return membership_ == MembershipState::kServing ||
            membership_ == MembershipState::kJoining;
   }
+  /// Answers `callback` with Unavailable when !AcceptsCoordination().
+  template <typename Callback>
+  bool RejectIfLeaving(Callback& callback) const {
+    if (AcceptsCoordination()) return false;
+    callback(Status::Unavailable("server leaving the ring"));
+    return true;
+  }
 
   /// Marks a capacity slot constructed above `num_servers` as never joined:
   /// outside the ring, endpoint down, no background ticks until a join.
   void MarkNeverJoined();
 
   /// Brings a kLeft slot up as a joiner: fresh incarnation, endpoint up,
-  /// background ticks armed, `member.join` trace opened. The Cluster calls
-  /// this BEFORE adding the server to the ring.
+  /// background ticks armed. The Cluster calls this BEFORE adding the
+  /// server to the ring, then starts streamer().BeginJoin.
   void ActivateForJoin();
-
-  /// Starts the streaming bootstrap: pulls every range in `plan` (one task
-  /// per range and table, `join_stream_batch` rows per message, resumable
-  /// cursor, per-range retry with linear backoff rotating through the
-  /// sources). Flips to kServing when the last range lands.
-  void BeginJoinStream(std::vector<Ring::RangeTransfer> plan);
-
-  /// Starts the decommission. The Cluster has already removed this server
-  /// from the ring; `plan` names the ranges it owned and their new owners.
-  /// The server streams each range out (a full sweep, then a tail sweep
-  /// that catches writes applied during the first), drains its hinted
-  /// handoffs, then leaves: endpoint down, new coordination rejected from
-  /// the moment this is called.
-  void BeginDecommission(std::vector<Ring::RangeTransfer> plan);
-
-  /// Re-coordinates every hint queued FOR `departed` to the hinted keys'
-  /// current replicas (the departed server will never ack them).
-  void RerouteHintsFor(ServerId departed);
 
   /// Moves the unanswered slots of in-flight quorum ops off `departed` and
   /// onto a current replica of the op's key, so acked writes are never
   /// stranded waiting on a server that left the ring.
   void RetargetInflightOps(ServerId departed);
 
-  /// Total hints queued across all targets (the decommission drain gate).
-  std::size_t hints_outstanding() const;
+  // ---------------------------------------------------------------------
+  // Background subsystems. Each owns its state, counters and spans.
+  // ---------------------------------------------------------------------
 
-  /// One batch of a membership range stream: rows of `table` whose
-  /// partition key falls in `range`, with keys strictly greater than
-  /// `from`, holding at least one cell with ts >= `min_ts`; at most `limit`
-  /// rows per call (in key order). `resume` is the cursor for the next
-  /// call; `done` signals the range is exhausted. Runs on the source server
-  /// (join pulls) or locally (decommission pushes).
-  struct RangeSlice {
-    std::vector<storage::KeyedRow> rows;
-    Key resume;
-    bool done = true;
-  };
-  RangeSlice CollectRangeRows(const std::string& table,
-                              Ring::TokenRange range, const Key& from,
-                              int limit, Timestamp min_ts) const;
+  AntiEntropy& anti_entropy() { return anti_entropy_; }
+  HintStore& hints() { return hints_; }
+  MemberStreamer& streamer() { return streamer_; }
 
   /// All servers of the cluster, indexed by ServerId (set by the Cluster;
   /// used to address peers).
@@ -324,38 +307,24 @@ class Server {
                                                 const ColumnName& column,
                                                 const Value& value);
 
-  /// Sends `handler` to run on peer `to` under its service queue (service
-  /// time `remote_service`, plus the fixed per-message receive overhead);
-  /// the returned value travels back and `on_reply` runs here. Either leg
-  /// may be dropped by the network. `payloads` is the logical request count
-  /// the message carries (> 1 for a batched replica-write flush). Both
-  /// closures are move-only, so a request may own its payload vector
-  /// outright (no shared_ptr indirection); callers that must re-send — the
-  /// quorum retry path — keep a copyable std::function and pay one copy per
-  /// send.
+  /// Sends `handler` to run on peer `to` under its service queue; the
+  /// returned value travels back and `on_reply` runs here. Either leg may
+  /// be dropped by the network. The demand `remote_service(*peer)`, plus the
+  /// fixed per-message receive overhead, is resolved on the peer at
+  /// delivery, so it can depend on replica-local state the sender cannot
+  /// know (is the row cached there?); FixedService wraps a constant one.
+  /// `payloads` is the logical request count the message carries (> 1 for a
+  /// batched replica-write flush). The closures are move-only, so a request
+  /// may own its payload vector outright.
   template <typename Response>
-  void CallPeer(ServerId to, SimTime remote_service,
+  void CallPeer(ServerId to, UniqueFn<SimTime(Server&)> remote_service,
                 UniqueFn<Response(Server&)> handler,
                 UniqueFn<void(Response)> on_reply,
                 std::uint64_t payloads = 1);
 
-  /// CallPeer variant whose service demand is resolved ON THE PEER when the
-  /// message is delivered: `remote_service(*peer)` runs just before the
-  /// handler is queued, so the demand can depend on replica-local state the
-  /// sender cannot know (is the row cached there?).
-  template <typename Response>
-  void CallPeerDynamic(ServerId to,
-                       UniqueFn<SimTime(Server&)> remote_service,
-                       UniqueFn<Response(Server&)> handler,
-                       UniqueFn<void(Response)> on_reply,
-                       std::uint64_t payloads = 1);
-
   /// Service demand of a local point read of (table, key): the cached rate
   /// when this server's row cache holds the key, the full rate otherwise.
   SimTime ReadServiceFor(const std::string& table, const Key& key) const;
-
-  /// This server's row cache; null when `row_cache_entries` == 0.
-  storage::RowCache* row_cache() const { return row_cache_.get(); }
 
   /// This server's advisory freshness cache (ISSUE 7), merged from gossip
   /// the maintenance engine piggybacks on propagation-completion traffic.
@@ -366,11 +335,6 @@ class Server {
   /// rows, and applies invalidate — warming restores the "hot replica"
   /// steady state the benches measure from). No-op without a cache.
   void WarmRowCache(const std::string& table, const Key& key);
-
-  /// The oldest write timestamp among this server's stored hints, or
-  /// Timestamp max when none are pending. Used as the tombstone purge floor:
-  /// a tombstone at/after this instant may still be owed to some replica.
-  Timestamp OldestHintTimestamp() const;
 
   /// One clock-driven compaction round: flush + merge + tombstone GC on
   /// every engine, charged through the service queue. Exposed for tests;
@@ -383,6 +347,16 @@ class Server {
   void Enqueue(SimTime service, UniqueFn<void()> fn) {
     queue_.Submit(service, [this, incarnation = incarnation_,
                             fn = std::move(fn)]() mutable {
+      if (incarnation != incarnation_ || crashed_) return;
+      fn();
+    });
+  }
+
+  /// Runs `fn` after `delay` unless the server has crashed (or crashed and
+  /// restarted, or left) in between: the timer counterpart of Enqueue.
+  void After(SimTime delay, UniqueFn<void()> fn) {
+    sim_->After(delay, [this, incarnation = incarnation_,
+                        fn = std::move(fn)]() mutable {
       if (incarnation != incarnation_ || crashed_) return;
       fn();
     });
@@ -404,51 +378,10 @@ class Server {
   /// tests). Creates the engine on first use.
   storage::Engine& EngineFor(const std::string& table);
 
-  /// Starts background tasks (anti-entropy, hint replay) if configured.
+  /// (Re-)arms the periodic background ticks for the current incarnation,
+  /// in a fixed order: anti-entropy, hint replay, compaction. A no-op for a
+  /// server outside the ring.
   void Start();
-
-  /// One anti-entropy round: Merkle-style synchronization with every peer.
-  /// For each (table, peer) the servers first exchange per-bucket digests
-  /// over the keys they both replicate, then ship rows only for mismatched
-  /// buckets (bidirectionally). Exposed for tests; also runs periodically
-  /// when `anti_entropy_interval` > 0.
-  void RunAntiEntropyRound();
-
-  // --- hinted handoff ---
-
-  /// A write a replica failed to acknowledge in time, kept for replay.
-  struct Hint {
-    std::string table;
-    Key key;
-    storage::Row cells;
-    /// Context of the write that spawned the hint; replay records a marker
-    /// span under it, so a trace shows how a missed write eventually landed.
-    TraceContext trace;
-  };
-
-  /// Hints currently queued for `target` (introspection for tests).
-  std::size_t pending_hints(ServerId target) const;
-
-  /// One replay pass: re-sends queued hints; a hint is dropped only when its
-  /// target acknowledges. Runs periodically when `hint_replay_interval` > 0.
-  void ReplayHints();
-
-  // --- anti-entropy internals (public: invoked on peers via messages) ---
-
-  /// Digest of this server's rows of `table` that are co-replicated with
-  /// `peer`, bucketed by key hash. Per bucket: sum (mod 2^64) of salted entry
-  /// hashes folded with the row count — commutative (order-insensitive) but,
-  /// unlike an XOR fold, not a GF(2) linear map that dependent entry sets can
-  /// cancel to a false match.
-  std::vector<std::uint64_t> ComputeSyncDigests(const std::string& table,
-                                                ServerId peer,
-                                                int buckets) const;
-
-  /// This server's rows of `table` (co-replicated with `peer`) falling into
-  /// `buckets`.
-  std::vector<storage::KeyedRow> CollectBucketRows(
-      const std::string& table, ServerId peer,
-      const std::vector<int>& buckets, int total_buckets) const;
 
   /// Ships one replica mutation to `to` and acks through `on_ack`. With
   /// `write_batch_max` > 1, batching is Nagle-style per destination: a
@@ -464,11 +397,15 @@ class Server {
                         UniqueFn<void(bool)> on_ack);
 
  private:
-  friend class Cluster;
-  /// The generic coordinator state machine drives fan-out/hints/abort via
-  /// the private registration and hint primitives below.
+  /// The generic coordinator state machine drives fan-out/abort via the
+  /// private registration primitives below.
   template <typename Response>
   friend class QuorumOp;
+  /// The background subsystems run on this server's engines, ticks and
+  /// lifecycle.
+  friend class AntiEntropy;
+  friend class HintStore;
+  friend class MemberStreamer;
 
   /// Wraps a reply callback so that assembling the reply charges coordinator
   /// service time (reply processing contributes to saturation under load).
@@ -476,37 +413,38 @@ class Server {
   std::function<void(ResultT)> WrapReply(
       std::function<void(ResultT)> callback);
 
-  void AntiEntropyTick();
-  void HintReplayTick();
-  void CompactionTick();
-  void SyncTableWithPeer(const std::string& table, ServerId peer);
+  /// Arms one periodic chain for the current incarnation: `body` runs every
+  /// `interval`, first after a phase staggered by server id so the servers'
+  /// rounds do not align. The chain ends at the first tick where `guard`
+  /// fails, and dies with the incarnation (Restart arms a fresh one).
+  /// `interval` <= 0 arms nothing.
+  void SchedulePeriodic(SimTime interval, std::function<bool()> guard,
+                        std::function<void()> body);
+  void ArmPeriodic(SimTime delay, SimTime interval,
+                   std::function<bool()> guard, std::function<void()> body);
 
-  /// (Re-)arms the periodic background ticks for the current incarnation.
-  void ScheduleBackgroundTicks();
+  /// The process stop shared by Crash and a completed leave (after the view
+  /// hook was told): aborts every in-flight op, drops hints, parked writes,
+  /// the queue backlog and stream progress, and leaves the network under a
+  /// fresh incarnation.
+  void Shutdown();
 
   /// Registers an abort closure for an in-flight coordinator operation;
-  /// Crash() invokes every registered closure. `retarget` (optional) is
-  /// invoked with the id of a server that left the ring mid-operation so
-  /// the op can move unanswered slots onto a live replica. Returns the
-  /// registration id the op passes to DeregisterInflightOp when it
-  /// finalizes normally.
+  /// Shutdown() invokes every registered closure. `retarget` is invoked
+  /// with the id of a server that left the ring mid-operation so the op can
+  /// move unanswered slots onto a live replica. Returns the registration id
+  /// the op passes to DeregisterInflightOp when it finalizes normally.
   std::uint64_t RegisterInflightOp(std::function<void()> abort,
-                                   std::function<void(ServerId)> retarget =
-                                       nullptr);
+                                   std::function<void(ServerId)> retarget);
   void DeregisterInflightOp(std::uint64_t op_id);
-
-  /// Records a hint for a write `target` did not acknowledge.
-  void StoreHint(ServerId target, const std::string& table, const Key& key,
-                 const storage::Row& cells);
 
   /// Per-replica service demand of a write (base apply + synchronous local
   /// index maintenance for written indexed columns).
   SimTime WriteServiceFor(const std::string& table,
                           const storage::Row& cells) const;
 
-  /// Resolves the partition key used for ring placement.
-  Key PartitionKeyFor(const std::string& table, const Key& key) const;
-  /// Zero-copy form: a slice of `key` (valid while `key` lives).
+  /// The partition key used for ring placement: a slice of `key` (valid
+  /// while `key` lives).
   std::string_view PartitionViewFor(const std::string& table,
                                     const Key& key) const;
 
@@ -533,48 +471,6 @@ class Server {
   /// service demand is the sum of the batched mutations' demands.
   void FlushReplicaWrites(ServerId to);
 
-  // --- elastic membership internals ---
-
-  /// One (range, table) unit of a membership stream. Join tasks pull from
-  /// `peers` (rotating on retry); decommission tasks push to the single
-  /// server in `peers`. `cursor` makes the stream resumable: a timed-out
-  /// slice re-requests from the last acknowledged key, not from scratch.
-  struct StreamTask {
-    std::string table;
-    Ring::TokenRange range;
-    std::vector<ServerId> peers;
-    Key cursor;
-    int attempt = 0;
-    std::uint64_t rows_streamed = 0;
-  };
-
-  /// Expands a transfer plan into stream tasks (join: one per range+table;
-  /// decommission: one per range+table+new owner).
-  void BuildStreamTasks(const std::vector<Ring::RangeTransfer>& plan);
-  /// Drives the front stream task: issues the next slice pull/push with a
-  /// timeout, advances the cursor on ack, retries with backoff on silence.
-  void PumpStream();
-  void StreamSliceSettled(std::uint64_t seq, bool ok,
-                          std::size_t rows_acked, Key resume, bool done);
-  void FinishStreamTask();
-  void FinishJoin();
-  /// Advances the decommission phase machine once the current sweep's
-  /// stream tasks have drained.
-  void ContinueDecommission();
-  /// Polls the hint queues; leaves when empty, force-reroutes at the drain
-  /// deadline.
-  void DrainHintsThenLeave();
-  /// Sends every still-queued hint directly to its key's current replicas
-  /// (drain deadline expired; the data must not leave with this server).
-  void ForceRerouteOwnHints();
-  /// Re-coordinates one write to the key's CURRENT ring replicas: local
-  /// apply when this server is one, replica-write (hinting on silence)
-  /// otherwise. The common leg of every hint-reroute path.
-  void RerouteWriteToCurrentReplicas(const std::string& table, const Key& key,
-                                     const storage::Row& cells);
-  void FinishLeave(bool forced);
-  void EmitMemberSpan(const char* name, const std::string& note);
-
   ServerId id_;
   sim::Simulation* sim_;
   sim::Network* network_;
@@ -592,7 +488,6 @@ class Server {
   std::unique_ptr<storage::RowCache> row_cache_;
   std::map<std::string, std::unique_ptr<storage::Engine>> engines_;
   std::vector<std::unique_ptr<index::LocalIndex>> indexes_;
-  std::map<ServerId, std::deque<Hint>> hints_;
   /// Per-destination replica-write lanes (write_batch_max > 1 only);
   /// cleared on crash — parked mutations die with the coordinator.
   std::map<ServerId, ReplicaWriteLane> write_lanes_;
@@ -603,12 +498,13 @@ class Server {
   bool crashed_ = false;
   std::uint64_t incarnation_ = 0;
   std::uint64_t next_op_id_ = 0;
-  /// Abort closures of in-flight coordinator ops, by registration id
-  /// (ordered map: Crash() aborts in deterministic id order).
-  std::map<std::uint64_t, std::function<void()>> inflight_aborts_;
-  /// Retarget closures of the same ops (same ids); invoked when a server
-  /// departs the ring so unanswered slots move to a live replica.
-  std::map<std::uint64_t, std::function<void(ServerId)>> inflight_retargets_;
+  /// In-flight coordinator ops by registration id (ordered: Shutdown aborts
+  /// in deterministic id order).
+  struct InflightOp {
+    std::function<void()> abort;
+    std::function<void(ServerId)> retarget;
+  };
+  std::map<std::uint64_t, InflightOp> inflight_;
 
   // --- placement cache ---
   /// Cached ring placements, one slot per interned partition key, revalidated
@@ -622,74 +518,27 @@ class Server {
   mutable KeyInterner placement_keys_;
   mutable std::deque<PlacementEntry> placement_cache_;
 
-  // --- elastic membership state ---
   MembershipState membership_ = MembershipState::kServing;
-  std::deque<StreamTask> stream_tasks_;
-  /// Matches slice replies and their timeout probes to the CURRENT pull;
-  /// a stale reply (superseded by a retry) or a stale timeout is ignored.
-  std::uint64_t stream_seq_ = 0;
-  bool stream_pull_pending_ = false;
-  /// The decommission plan outlives a crash (modeled as a durable
-  /// decommission-intent record): a draining server that crashes resumes
-  /// the handoff after Restart instead of stranding its ranges.
-  std::vector<Ring::RangeTransfer> decommission_plan_;
-  std::vector<Ring::RangeTransfer> join_plan_;
-  /// 0 = idle, 1 = full sweep, 2 = tail sweep, 3 = hint drain.
-  int decommission_phase_ = 0;
-  /// Tail-sweep filter: only rows written since shortly before the full
-  /// sweep began (straggler writes in flight when the ring changed).
-  Timestamp stream_min_ts_ = 0;
-  Timestamp tail_cutoff_ = 0;
-  SimTime drain_deadline_ = 0;
-  /// Root span of the in-progress join or drain ("member.join" /
-  /// "member.drain"); child spans mark each streamed range.
-  TraceContext member_trace_;
+
+  AntiEntropy anti_entropy_{*this};
+  HintStore hints_{*this};
+  MemberStreamer streamer_{*this};
 };
 
 // ---------------------------------------------------------------------------
 // Implementation details only below here.
 // ---------------------------------------------------------------------------
 
-template <typename Response>
-void Server::CallPeer(ServerId to, SimTime remote_service,
-                      UniqueFn<Response(Server&)> handler,
-                      UniqueFn<void(Response)> on_reply,
-                      std::uint64_t payloads) {
-  Server* self = this;
-  Server* peer = (*peers_)[to];
-  // Receiving a message costs a fixed deserialization/dispatch overhead on
-  // top of the handler's own demand — charged per MESSAGE, which is what a
-  // batched flush amortizes across its payloads.
-  const SimTime service = config_->perf.message_process + remote_service;
-  network_->Send(
-      id_, to,
-      [peer, self, service, handler = std::move(handler),
-       on_reply = std::move(on_reply)]() mutable {
-        // Enqueue (not a bare queue submit) so work delivered to an
-        // incarnation that crashes before servicing it dies with that
-        // incarnation.
-        peer->Enqueue(
-            service,
-            [peer, self, handler = std::move(handler),
-             on_reply = std::move(on_reply)]() mutable {
-              Response response = handler(*peer);
-              peer->network_->Send(
-                  peer->id_, self->id_,
-                  [on_reply = std::move(on_reply),
-                   response = std::move(response)]() mutable {
-                    on_reply(std::move(response));
-                  });
-            });
-      },
-      payloads);
+/// A service demand that does not depend on the receiving replica.
+inline auto FixedService(SimTime service) {
+  return [service](Server&) { return service; };
 }
 
 template <typename Response>
-void Server::CallPeerDynamic(ServerId to,
-                             UniqueFn<SimTime(Server&)> remote_service,
-                             UniqueFn<Response(Server&)> handler,
-                             UniqueFn<void(Response)> on_reply,
-                             std::uint64_t payloads) {
+void Server::CallPeer(ServerId to, UniqueFn<SimTime(Server&)> remote_service,
+                      UniqueFn<Response(Server&)> handler,
+                      UniqueFn<void(Response)> on_reply,
+                      std::uint64_t payloads) {
   Server* self = this;
   Server* peer = (*peers_)[to];
   network_->Send(
@@ -697,11 +546,15 @@ void Server::CallPeerDynamic(ServerId to,
       [peer, self, remote_service = std::move(remote_service),
        handler = std::move(handler),
        on_reply = std::move(on_reply)]() mutable {
-        // Resolved at delivery, on the receiving replica: the demand can
-        // consult peer-local state (row cache contents) that the sender and
-        // send-time cannot.
+        // Receiving a message costs a fixed deserialization/dispatch
+        // overhead on top of the handler's own demand — charged per
+        // MESSAGE, which is what a batched flush amortizes across its
+        // payloads.
         const SimTime service =
             peer->config_->perf.message_process + remote_service(*peer);
+        // Enqueue (not a bare queue submit) so work delivered to an
+        // incarnation that crashes before servicing it dies with that
+        // incarnation.
         peer->Enqueue(
             service,
             [peer, self, handler = std::move(handler),

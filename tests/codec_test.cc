@@ -199,7 +199,9 @@ TEST(CodecTest, InternedRefIdentityMatchesPairIdentityFuzz) {
     Key bk = random_component();
     KeyRef ref = InternViewRowKey(interner, vk, bk, scratch);
     auto [it, fresh] = model.emplace(std::make_pair(vk, bk), ref);
-    if (!fresh) EXPECT_EQ(ref, it->second);
+    if (!fresh) {
+      EXPECT_EQ(ref, it->second);
+    }
     auto split = SplitViewRowKey(interner.View(ref));
     ASSERT_TRUE(split.has_value());
     EXPECT_EQ(split->first, vk);

@@ -458,15 +458,15 @@ TEST(AntiEntropyRegressionTest, XorCancellingRowSetIsCaughtByCountedDigest) {
   // digest 0 for this bucket — rows on one side, nothing on the other.
   ASSERT_EQ(xor_fold, 0u);
 
-  const auto mine = t.cluster.server(holder).ComputeSyncDigests(
+  const auto mine = t.cluster.server(holder).anti_entropy().ComputeDigests(
       "t", peer, kBuckets);
-  const auto theirs = t.cluster.server(peer).ComputeSyncDigests(
+  const auto theirs = t.cluster.server(peer).anti_entropy().ComputeDigests(
       "t", holder, kBuckets);
   EXPECT_NE(mine[bucket], theirs[bucket])
       << "counted digest must distinguish " << subset_size
       << " rows from an empty bucket";
 
-  t.cluster.server(holder).RunAntiEntropyRound();
+  t.cluster.server(holder).anti_entropy().RunRound();
   t.cluster.RunFor(Millis(500));
   EXPECT_GT(t.cluster.metrics().anti_entropy_buckets_synced, 0u);
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -510,7 +510,7 @@ TEST(TombstoneGcTest, PendingHintDefersPurgeAndDeleteSurvivesCrash) {
   ASSERT_TRUE(
       client->PutSync("t", key, {{"a", std::nullopt}}, {.quorum = 1}).ok());
   t.cluster.RunFor(Millis(100));  // past the rpc timeout: hint stored
-  ASSERT_EQ(t.cluster.server(coord).pending_hints(lagging), 1u);
+  ASSERT_EQ(t.cluster.server(coord).hints().pending(lagging), 1u);
 
   // Age the tombstone past grace, then compact: the pending hint's
   // timestamp floors the purge.
@@ -532,10 +532,10 @@ TEST(TombstoneGcTest, PendingHintDefersPurgeAndDeleteSurvivesCrash) {
   t.cluster.RunFor(Millis(50));
   t.cluster.RestartServer(coord);
   t.cluster.RunFor(Millis(50));
-  EXPECT_EQ(t.cluster.server(coord).pending_hints(lagging), 0u);
+  EXPECT_EQ(t.cluster.server(coord).hints().pending(lagging), 0u);
 
   t.cluster.network().SetEndpointDown(lagging, false);
-  t.cluster.server(coord).RunAntiEntropyRound();
+  t.cluster.server(coord).anti_entropy().RunRound();
   t.cluster.RunFor(Millis(500));
 
   for (ServerId replica : replicas) {

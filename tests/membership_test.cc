@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -109,7 +111,7 @@ TEST(MembershipTest, DecommissionStreamsRangesToNewOwnersAndLeaves) {
   EXPECT_EQ(m.member_leaves_started, 1u);
   EXPECT_EQ(m.member_leaves_completed, 1u);
   EXPECT_EQ(m.member_drains_forced, 0u);
-  EXPECT_EQ(t.cluster.server(2).hints_outstanding(), 0u);
+  EXPECT_EQ(t.cluster.server(2).hints().outstanding(), 0u);
 
   // Every key now has its full replica set among the remaining members,
   // each holding the row locally (the leaver streamed what they lacked).
@@ -166,7 +168,7 @@ TEST(MembershipTest, DecommissionDrainsHintsBeforeLeaving) {
                     .ok());
   }
   t.cluster.RunFor(Millis(200));
-  ASSERT_GT(t.cluster.server(0).hints_outstanding(), 0u)
+  ASSERT_GT(t.cluster.server(0).hints().outstanding(), 0u)
       << "setup failed: no hints were stored on the leaver";
 
   // Decommission the hint holder while the target is still down; the drain
@@ -179,7 +181,7 @@ TEST(MembershipTest, DecommissionDrainsHintsBeforeLeaving) {
   const store::Metrics& m = t.cluster.metrics();
   EXPECT_EQ(m.member_leaves_completed, 1u);
   EXPECT_EQ(m.member_drains_forced, 0u);
-  EXPECT_EQ(t.cluster.server(0).hints_outstanding(), 0u);
+  EXPECT_EQ(t.cluster.server(0).hints().outstanding(), 0u);
 
   // Nothing hinted was lost: every write is readable at full quorum.
   t.cluster.RunFor(Millis(500));  // anti-entropy settle
@@ -211,7 +213,7 @@ TEST(MembershipTest, ForcedDrainReroutesHintsAtDeadline) {
                     .ok());
   }
   t.cluster.RunFor(Millis(100));
-  ASSERT_GT(t.cluster.server(0).hints_outstanding(), 0u);
+  ASSERT_GT(t.cluster.server(0).hints().outstanding(), 0u);
 
   // Target stays down past the drain deadline: the drain is forced, hints
   // reroute to the keys' current live replicas, and the server still leaves
@@ -220,7 +222,7 @@ TEST(MembershipTest, ForcedDrainReroutesHintsAtDeadline) {
   AwaitMembership(t.cluster, 0, MembershipState::kLeft);
   EXPECT_GE(t.cluster.metrics().member_drains_forced, 1u);
   EXPECT_GT(t.cluster.metrics().member_hints_rerouted, 0u);
-  EXPECT_EQ(t.cluster.server(0).hints_outstanding(), 0u);
+  EXPECT_EQ(t.cluster.server(0).hints().outstanding(), 0u);
 
   // After the crashed server returns, anti-entropy spreads the rerouted
   // writes; nothing acked is lost.
@@ -305,6 +307,213 @@ TEST(MembershipTest, CrashDuringJoinResumesStreamingAfterRestart) {
       EXPECT_TRUE(local.count(key) != 0) << "joiner missing " << key;
     }
   }
+}
+
+TEST(MembershipTest, CrashDuringDecommissionResumesAndLeaves) {
+  store::ClusterConfig config = ChurnConfig();
+  config.join_stream_batch = 4;       // many slices: the crash lands mid-sweep
+  config.anti_entropy_interval = 0;   // only the resumed streams move rows
+  test::TestCluster t(config, test::TicketSchema(false, false));
+  constexpr int kRows = 150;
+  for (int k = 0; k < kRows; ++k) {
+    t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
+                               {{"status", std::string("open")}}, 100 + k);
+  }
+  constexpr ServerId kLeaver = 2;
+  std::vector<Key> leaver_keys;
+  for (int k = 0; k < kRows; ++k) {
+    const Key key = "t" + std::to_string(k);
+    const auto replicas = t.cluster.ring().ReplicasFor(key, 3);
+    if (std::find(replicas.begin(), replicas.end(), kLeaver) !=
+        replicas.end()) {
+      leaver_keys.push_back(key);
+    }
+  }
+  ASSERT_FALSE(leaver_keys.empty());
+
+  ASSERT_TRUE(t.cluster.DecommissionServer(kLeaver));
+  t.cluster.RunFor(Millis(2));  // a few slices in, far from done
+  const store::Metrics& m = t.cluster.metrics();
+  ASSERT_EQ(t.cluster.server(kLeaver).membership(),
+            MembershipState::kDraining);
+  ASSERT_GT(m.member_rows_streamed, 0u) << "crash must land mid-sweep";
+  ASSERT_LT(m.member_rows_streamed, leaver_keys.size())
+      << "crash must land before the full sweep ends";
+  ASSERT_TRUE(t.cluster.CrashServer(kLeaver));
+  t.cluster.RunFor(Millis(50));
+  ASSERT_TRUE(t.cluster.RestartServer(kLeaver));
+
+  AwaitMembership(t.cluster, kLeaver, MembershipState::kLeft);
+  EXPECT_EQ(m.member_leaves_completed, 1u);
+  EXPECT_EQ(t.cluster.server(kLeaver).hints().outstanding(), 0u);
+
+  // Every row of the leaver's ranges landed on each of its new owners, and
+  // reads from them at R = N see it.
+  auto reader = t.cluster.NewClient(t.cluster.PickServingServer(0));
+  store::ReadOptions r3;
+  r3.quorum = 3;
+  for (const Key& key : leaver_keys) {
+    for (ServerId replica : t.cluster.ring().ReplicasFor(key, 3)) {
+      ASSERT_NE(replica, kLeaver);
+      EXPECT_TRUE(LocalKeys(t.cluster, replica, "ticket").count(key) != 0)
+          << "new owner " << replica << " missing " << key;
+    }
+    const store::ReadResult result = reader->GetSync("ticket", key, r3);
+    ASSERT_TRUE(result.ok()) << key;
+    EXPECT_EQ(result.row.GetValue("status"), "open") << key;
+  }
+}
+
+TEST(MembershipTest, DrainingRestartSkipsAntiEntropyRound) {
+  store::ClusterConfig config = ChurnConfig();
+  config.anti_entropy_interval = 0;  // only Restart's own round can count
+  test::TestCluster t(config, test::TicketSchema(false, false));
+  for (int k = 0; k < 60; ++k) {
+    t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
+                               {{"status", std::string("open")}}, 100 + k);
+  }
+  const store::Metrics& m = t.cluster.metrics();
+
+  // A serving server catches up with one round right after its restart.
+  ASSERT_TRUE(t.cluster.CrashServer(1));
+  t.cluster.RunFor(Millis(10));
+  std::uint64_t before = m.anti_entropy_digest_exchanges;
+  ASSERT_TRUE(t.cluster.RestartServer(1));
+  EXPECT_GT(m.anti_entropy_digest_exchanges, before);
+  t.cluster.RunFor(Millis(100));
+
+  // A draining server already left the ring: it shares no range with any
+  // peer, so its restart exchanges no digests at all.
+  ASSERT_TRUE(t.cluster.DecommissionServer(2));
+  ASSERT_TRUE(t.cluster.CrashServer(2));
+  t.cluster.RunFor(Millis(10));
+  before = m.anti_entropy_digest_exchanges;
+  ASSERT_TRUE(t.cluster.RestartServer(2));
+  EXPECT_EQ(m.anti_entropy_digest_exchanges, before);
+  AwaitMembership(t.cluster, 2, MembershipState::kLeft);
+}
+
+/// Background work done by every server's periodic ticks over a window.
+struct TickWork {
+  std::uint64_t digest_exchanges = 0;  // anti-entropy rounds
+  std::uint64_t compactions = 0;       // compaction rounds
+  std::uint64_t replay_failures = 0;   // hint replay passes
+  std::uint64_t replayed_after_heal = 0;
+
+  bool operator==(const TickWork& o) const {
+    return digest_exchanges == o.digest_exchanges &&
+           compactions == o.compactions &&
+           replay_failures == o.replay_failures &&
+           replayed_after_heal == o.replayed_after_heal;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const TickWork& w) {
+  return os << "{digests=" << w.digest_exchanges
+            << " compactions=" << w.compactions
+            << " replay_failures=" << w.replay_failures
+            << " replayed_after_heal=" << w.replayed_after_heal << "}";
+}
+
+/// Tick intervals of the tick-chain test. With 4 servers the phase stagger
+/// puts every tick on a 25 ms grid as long as chains are armed on it.
+constexpr SimTime kTickInterval = Millis(100);
+constexpr SimTime kTickGrid = Millis(25);
+
+store::ClusterConfig TickConfig() {
+  store::ClusterConfig config = ChurnConfig();
+  config.max_servers = 0;
+  config.anti_entropy_interval = kTickInterval;
+  config.hint_replay_interval = kTickInterval;
+  config.compaction_interval = kTickInterval;
+  return config;
+}
+
+/// Advances to the next grid point plus `offset`.
+void AlignToGrid(store::Cluster& cluster, SimTime offset = 0) {
+  cluster.RunFor(kTickGrid - cluster.Now() % kTickGrid + offset);
+}
+
+/// Measures `k` tick intervals of background work. Server 2 is cut off from
+/// every peer and each server holds one hint for a peer it cannot reach, so
+/// every replay pass fails once, `rpc_timeout` after its tick
+/// (hints_replayed counts acked hints, not passes). The hints are stored a
+/// full interval ahead, and the window starts between grid points, away
+/// from every tick and every compaction or replay failure it triggers.
+/// After the window the links heal and every hint must replay exactly once.
+TickWork MeasureTicks(store::Cluster& cluster, int k) {
+  constexpr ServerId kIsolated = 2;
+  storage::Row cells;
+  cells.Apply("status", storage::Cell::Live("hinted", 1));
+  for (ServerId s = 0; s < static_cast<ServerId>(cluster.num_servers()); ++s) {
+    if (s != kIsolated) cluster.network().PartitionLink(s, kIsolated);
+    cluster.server(s).hints().Store(s == kIsolated ? 0 : kIsolated, "ticket",
+                                    "hint" + std::to_string(s), cells);
+  }
+  cluster.RunFor(kTickInterval);
+  AlignToGrid(cluster, Millis(12));
+  const store::Metrics& m = cluster.metrics();
+  TickWork before{m.anti_entropy_digest_exchanges, m.compactions_run,
+                  m.quorum_failures, 0};
+  cluster.RunFor(kTickInterval * k);
+  TickWork work{m.anti_entropy_digest_exchanges - before.digest_exchanges,
+                m.compactions_run - before.compactions,
+                m.quorum_failures - before.replay_failures, 0};
+  for (ServerId s = 0; s < static_cast<ServerId>(cluster.num_servers()); ++s) {
+    if (s != kIsolated) cluster.network().RestoreLink(s, kIsolated);
+  }
+  const std::uint64_t replayed = m.hints_replayed;
+  cluster.RunFor(kTickInterval * 3);
+  work.replayed_after_heal = m.hints_replayed - replayed;
+  return work;
+}
+
+TEST(MembershipTest, OneTickChainPerIncarnation) {
+  constexpr int kWindow = 5;
+  auto load = [](test::TestCluster& t) {
+    for (int k = 0; k < 60; ++k) {
+      t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
+                                 {{"status", std::string("open")}}, 100 + k);
+    }
+  };
+
+  // Never crashed: every server runs one chain of each kind.
+  test::TestCluster control(TickConfig(), test::TicketSchema(false, false));
+  load(control);
+  control.cluster.RunFor(Seconds(1));
+  const TickWork expected = MeasureTicks(control.cluster, kWindow);
+  const int servers = control.cluster.num_servers();
+  EXPECT_EQ(expected.digest_exchanges,
+            static_cast<std::uint64_t>(kWindow * servers * (servers - 1)));
+  EXPECT_EQ(expected.compactions,
+            static_cast<std::uint64_t>(kWindow * servers));
+  EXPECT_EQ(expected.replay_failures,
+            static_cast<std::uint64_t>(kWindow * servers));
+  EXPECT_EQ(expected.replayed_after_heal,
+            static_cast<std::uint64_t>(servers));
+
+  test::TestCluster t(TickConfig(), test::TicketSchema(false, false));
+  load(t);
+  t.cluster.RunFor(Seconds(1));
+
+  // Crash/Restart: the old incarnation's chains die, Restart arms new ones.
+  ASSERT_TRUE(t.cluster.CrashServer(1));
+  t.cluster.RunFor(Millis(300));
+  AlignToGrid(t.cluster);
+  ASSERT_TRUE(t.cluster.RestartServer(1));
+  t.cluster.RunFor(Seconds(1));
+  EXPECT_EQ(MeasureTicks(t.cluster, kWindow), expected)
+      << "after crash/restart";
+
+  // Leave, then rejoin the same slot: the join arms exactly one chain each.
+  ASSERT_TRUE(t.cluster.DecommissionServer(0));
+  AwaitMembership(t.cluster, 0, MembershipState::kLeft);
+  AlignToGrid(t.cluster);
+  ASSERT_EQ(t.cluster.JoinServer(), std::optional<ServerId>(0));
+  AwaitMembership(t.cluster, 0, MembershipState::kServing);
+  t.cluster.RunFor(Seconds(1));
+  EXPECT_EQ(MeasureTicks(t.cluster, kWindow), expected)
+      << "after leave/rejoin";
 }
 
 TEST(MembershipTest, JoinLeaveRejoinLifecycleConverges) {

@@ -109,15 +109,15 @@ TEST(HintedHandoffTest, HintsStoredForUnackedReplicaAndReplayed) {
   t.cluster.RunFor(Millis(100));  // past the rpc timeout
 
   EXPECT_GT(t.cluster.metrics().hints_stored, 0u);
-  EXPECT_EQ(t.cluster.server(coordinator).pending_hints(down), 1u);
+  EXPECT_EQ(t.cluster.server(coordinator).hints().pending(down), 1u);
   // While the target stays down, replays do not clear the queue.
   t.cluster.RunFor(Millis(600));
-  EXPECT_EQ(t.cluster.server(coordinator).pending_hints(down), 1u);
+  EXPECT_EQ(t.cluster.server(coordinator).hints().pending(down), 1u);
 
   // Recovery: the next replay delivers and retires the hint.
   t.cluster.network().SetEndpointDown(down, false);
   t.cluster.RunFor(Millis(600));
-  EXPECT_EQ(t.cluster.server(coordinator).pending_hints(down), 0u);
+  EXPECT_EQ(t.cluster.server(coordinator).hints().pending(down), 0u);
   EXPECT_GT(t.cluster.metrics().hints_replayed, 0u);
   auto cell = t.cluster.server(down).EngineFor("t").GetCell("k", "a");
   ASSERT_TRUE(cell.has_value());
@@ -155,7 +155,7 @@ TEST(HintedHandoffTest, QueueCapDropsOldest) {
     t.cluster.RunFor(Millis(50));
   }
   t.cluster.RunFor(Millis(100));
-  EXPECT_LE(t.cluster.server(coordinator).pending_hints(down), 5u);
+  EXPECT_LE(t.cluster.server(coordinator).hints().pending(down), 5u);
   EXPECT_GT(t.cluster.metrics().hints_dropped, 0u);
 }
 
@@ -170,7 +170,7 @@ TEST(AntiEntropyTest, InSyncReplicasExchangeOnlyDigests) {
     t.cluster.BootstrapLoadRow("t", "k" + std::to_string(i),
                                {{"a", std::to_string(i)}}, 100 + i);
   }
-  t.cluster.server(0).RunAntiEntropyRound();
+  t.cluster.server(0).anti_entropy().RunRound();
   t.cluster.RunFor(Millis(200));
   EXPECT_GT(t.cluster.metrics().anti_entropy_digest_exchanges, 0u);
   EXPECT_EQ(t.cluster.metrics().anti_entropy_buckets_synced, 0u);
@@ -196,7 +196,7 @@ TEST(AntiEntropyTest, DivergentRowSyncsBothWays) {
   t.cluster.server(r9[1]).EngineFor("t").ApplyRow("k9", newer9);
 
   for (int s = 0; s < t.cluster.num_servers(); ++s) {
-    t.cluster.server(static_cast<ServerId>(s)).RunAntiEntropyRound();
+    t.cluster.server(static_cast<ServerId>(s)).anti_entropy().RunRound();
   }
   t.cluster.RunFor(Millis(500));
 
@@ -225,8 +225,8 @@ TEST(AntiEntropyTest, DigestsCoverOnlySharedKeys) {
   for (ServerId a = 0; a < 4; ++a) {
     for (ServerId b = 0; b < 4; ++b) {
       if (a == b) continue;
-      EXPECT_EQ(t.cluster.server(a).ComputeSyncDigests("t", b, 32),
-                t.cluster.server(b).ComputeSyncDigests("t", a, 32))
+      EXPECT_EQ(t.cluster.server(a).anti_entropy().ComputeDigests("t", b, 32),
+                t.cluster.server(b).anti_entropy().ComputeDigests("t", a, 32))
           << a << " vs " << b;
     }
   }

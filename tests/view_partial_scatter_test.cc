@@ -67,7 +67,8 @@ struct PartialFixture {
           t.cluster.server(0).ReplicasOf("assigned_to_view", prefix);
       replica_sets.emplace_back(replicas.begin(), replicas.end());
     }
-    for (ServerId s = 0; s < t.cluster.num_servers(); ++s) {
+    for (ServerId s = 0; s < static_cast<ServerId>(t.cluster.num_servers());
+         ++s) {
       int in = 0;
       for (const auto& set : replica_sets) in += set.count(s) ? 1 : 0;
       if (in > 0 && in < kShards) {
