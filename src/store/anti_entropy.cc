@@ -32,7 +32,7 @@ void AntiEntropy::RunRound() {
   Tracer::Scope scope(tracer, round);
   for (ServerId peer : server_.ring().members()) {
     if (peer == server_.id()) continue;
-    for (const auto& [table, engine] : server_.engines_) {
+    for (const auto& [table, engine] : server_.replica().engines()) {
       SyncTable(table, peer);
     }
   }
@@ -51,8 +51,8 @@ std::vector<std::uint64_t> AntiEntropy::ComputeDigests(const std::string& table,
                                                        ServerId peer,
                                                        int buckets) const {
   std::vector<std::uint64_t> digests(static_cast<std::size_t>(buckets), 0);
-  auto it = server_.engines_.find(table);
-  if (it == server_.engines_.end()) return digests;
+  const storage::Engine* engine = server_.replica().FindEngine(table);
+  if (engine == nullptr) return digests;
   // Sum (mod 2^64) of salted entry hashes, folded with the bucket's row
   // count. Addition is commutative, so the digest is still set-like — but
   // unlike the XOR combiner this used to be, it is not a GF(2) linear map:
@@ -61,7 +61,7 @@ std::vector<std::uint64_t> AntiEntropy::ComputeDigests(const std::string& table,
   // fewer) could cancel to the same digest on two replicas holding
   // DIFFERENT rows, silently skipping the bucket forever.
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(buckets), 0);
-  it->second->ForEach([&](const Key& key, const storage::Row& row) {
+  engine->ForEach([&](const Key& key, const storage::Row& row) {
     if (!Shared(table, key, peer)) return;
     const std::uint64_t key_hash = Hash64(key);
     const std::size_t bucket =
@@ -84,11 +84,11 @@ std::vector<storage::KeyedRow> AntiEntropy::CollectBucketRows(
     const std::string& table, ServerId peer, const std::vector<int>& buckets,
     int total_buckets) const {
   std::vector<storage::KeyedRow> rows;
-  auto it = server_.engines_.find(table);
-  if (it == server_.engines_.end()) return rows;
+  const storage::Engine* engine = server_.replica().FindEngine(table);
+  if (engine == nullptr) return rows;
   std::vector<bool> wanted(static_cast<std::size_t>(total_buckets), false);
   for (int bucket : buckets) wanted[static_cast<std::size_t>(bucket)] = true;
-  it->second->ForEach([&](const Key& key, const storage::Row& row) {
+  engine->ForEach([&](const Key& key, const storage::Row& row) {
     const std::size_t bucket =
         Hash64(key) % static_cast<std::uint64_t>(total_buckets);
     if (!wanted[bucket]) return;
@@ -134,15 +134,13 @@ void AntiEntropy::SyncTable(const std::string& table, ServerId peer) {
             peer, FixedService(service),
             [table, self_id, mismatched, buckets,
              ours = std::move(ours)](Server& s) {
-              for (const auto& kr : ours) s.LocalApply(table, kr.key, kr.row);
+              s.replica().ApplyRows(table, ours);
               return s.anti_entropy().CollectBucketRows(table, self_id,
                                                         mismatched, buckets);
             },
             [this, table, metrics](std::vector<storage::KeyedRow> theirs) {
               metrics->anti_entropy_rows_pushed += theirs.size();
-              for (const auto& kr : theirs) {
-                server_.LocalApply(table, kr.key, kr.row);
-              }
+              server_.replica().ApplyRows(table, theirs);
             });
       });
 }

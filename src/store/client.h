@@ -85,13 +85,13 @@ struct ReadOptions {
   /// on the merged image for every query kind (see QuerySpec for the
   /// per-kind semantics) — replicas never project individually, so the
   /// answer cannot depend on which replicas happened to respond.
-  std::vector<ColumnName> columns;
+  std::vector<ColumnName> columns = {};
   /// Per-request client deadline; 0 falls back to request_timeout().
   SimTime timeout = 0;
   /// Explicit parent span: the operation's span becomes its child, letting
   /// callers stitch several operations into one causal trace. Null = mint a
   /// root trace.
-  TraceContext trace;
+  TraceContext trace = {};
   /// Consistency level (see the freshness-contract comment above).
   ReadConsistency consistency = ReadConsistency::kEventual;
   /// kBoundedStaleness only: the staleness bound, in simulated time units.
@@ -108,7 +108,7 @@ struct WriteOptions {
   /// Per-request client deadline; 0 falls back to request_timeout().
   SimTime timeout = 0;
   /// Explicit parent span (see ReadOptions::trace).
-  TraceContext trace;
+  TraceContext trace = {};
 };
 
 /// One result pair of a join query: the matched left- and right-side view

@@ -161,11 +161,12 @@ void Cluster::BootstrapLoadRow(const std::string& table, const Key& key,
                            : storage::Cell::Tombstone(ts));
   }
   for (ServerId replica : servers_[0]->ReplicasOf(table, key)) {
-    servers_[replica]->LocalApply(table, key, cells);
+    Replica& local = servers_[replica]->replica();
+    local.LocalApply(table, key, cells);
     // Applying invalidates the row cache; re-warm so benches start from the
     // hot-replica steady state instead of an artificially cold cache (a
     // no-op when caching is disabled).
-    servers_[replica]->WarmRowCache(table, key);
+    local.WarmRowCache(table, key);
   }
 
   // Populate each view per Definition 1, mirroring exactly what the
@@ -208,8 +209,9 @@ void Cluster::BootstrapLoadRow(const std::string& table, const Key& key,
                             : storage::Cell::Live("1", ts_sel));
     }
     for (ServerId replica : servers_[0]->ReplicasOf(view->name, row_key)) {
-      servers_[replica]->LocalApply(view->name, row_key, view_cells);
-      servers_[replica]->WarmRowCache(view->name, row_key);
+      Replica& local = servers_[replica]->replica();
+      local.LocalApply(view->name, row_key, view_cells);
+      local.WarmRowCache(view->name, row_key);
     }
 
     // Every row family's chain originates at the sentinel anchor — an
@@ -229,7 +231,8 @@ void Cluster::BootstrapLoadRow(const std::string& table, const Key& key,
           ShardedViewRowKey(anchor_key, key, shard, view->shard_count);
       for (ServerId replica :
            servers_[0]->ReplicasOf(view->name, anchor_row)) {
-        servers_[replica]->LocalApply(view->name, anchor_row, anchor);
+        servers_[replica]->replica().LocalApply(view->name, anchor_row,
+                                                anchor);
       }
     }
   }

@@ -16,15 +16,12 @@ void HintStore::Store(ServerId target, const std::string& table,
   // A write owed to a server on its way out of the ring (or already gone)
   // must not park behind it — the target will never come back for it.
   // Re-coordinate straight to the key's current replicas instead.
-  if (server_.peers_ != nullptr) {
-    const MembershipState target_state =
-        (*server_.peers_)[target]->membership();
-    if (target_state == MembershipState::kDraining ||
-        target_state == MembershipState::kLeft) {
-      server_.metrics()->member_hints_rerouted++;
-      RerouteWrite(table, key, cells);
-      return;
-    }
+  const MembershipState target_state = server_.peer(target).membership();
+  if (target_state == MembershipState::kDraining ||
+      target_state == MembershipState::kLeft) {
+    server_.metrics()->member_hints_rerouted++;
+    RerouteWrite(table, key, cells);
+    return;
   }
   std::deque<Hint>& queue = hints_[target];
   if (queue.size() >= server_.config().max_hints_per_target) {
@@ -66,7 +63,7 @@ void HintStore::Replay() {
     if (queue.empty()) continue;
     // The target left the ring since these queued: replaying at it is
     // pointless, move the writes to the keys' current replicas.
-    if (server_.peers_ != nullptr && !(*server_.peers_)[target]->is_member()) {
+    if (!server_.peer(target).is_member()) {
       RerouteQueue(target, queue);
       continue;
     }
@@ -90,7 +87,7 @@ void HintStore::Replay() {
                                 static_cast<SimTime>(count));
     spec.request = [batch](Server& s) {
       for (const Hint& hint : *batch) {
-        s.LocalApply(hint.table, hint.key, hint.cells);
+        s.replica().LocalApply(hint.table, hint.key, hint.cells);
       }
       return true;
     };
@@ -140,10 +137,10 @@ void HintStore::Mark(const Hint& hint, const char* name,
 void HintStore::RerouteWrite(const std::string& table, const Key& key,
                              const storage::Row& cells) {
   for (ServerId replica : server_.ReplicasOf(table, key)) {
-    const SimTime service = server_.WriteServiceFor(table, cells);
+    const SimTime service = server_.replica().WriteServiceFor(table, cells);
     if (replica == server_.id()) {
       server_.Enqueue(service, [this, table, key, cells] {
-        server_.LocalApply(table, key, cells);
+        server_.replica().LocalApply(table, key, cells);
       });
       continue;
     }

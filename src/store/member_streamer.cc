@@ -130,9 +130,7 @@ void MemberStreamer::Pump() {
           server_.Enqueue(service, [this, seq, table,
                                     slice = std::move(slice)]() mutable {
             if (seq != seq_) return;
-            for (const auto& kr : slice.rows) {
-              server_.LocalApply(table, kr.key, kr.row);
-            }
+            server_.replica().ApplyRows(table, slice.rows);
             SliceSettled(seq, slice.rows.size(), slice.resume, slice.done);
           });
         });
@@ -155,7 +153,7 @@ void MemberStreamer::Pump() {
       server_.CallPeer<bool>(
           target, FixedService(service),
           [table, rows = std::move(slice.rows)](Server& s) {
-            for (const auto& kr : rows) s.LocalApply(table, kr.key, kr.row);
+            s.replica().ApplyRows(table, rows);
             return true;
           },
           [this, seq, n, resume = std::move(slice.resume),
@@ -285,14 +283,14 @@ MemberStreamer::RangeSlice MemberStreamer::CollectRangeRows(
     const std::string& table, Ring::TokenRange range, const Key& from,
     int limit, Timestamp min_ts) const {
   RangeSlice slice;
-  auto it = server_.engines_.find(table);
-  if (it == server_.engines_.end()) return slice;  // nothing stored: done
+  const storage::Engine* engine = server_.replica().FindEngine(table);
+  if (engine == nullptr) return slice;  // nothing stored: done
   // Bounded window of keys in the range past the cursor (cheap: no row
   // merges), then point lookups for just those rows. The cursor advances
   // over EXAMINED keys, so a min_ts tail sweep that filters everything out
   // still makes progress.
   bool more = false;
-  const std::vector<Key> keys = it->second->CollectKeysAfter(
+  const std::vector<Key> keys = engine->CollectKeysAfter(
       from, limit,
       [&](const Key& key) {
         return range.Covers(
@@ -306,7 +304,7 @@ MemberStreamer::RangeSlice MemberStreamer::CollectRangeRows(
     return col_cell.second.ts >= min_ts;
   };
   for (const Key& key : keys) {
-    auto row = it->second->GetRow(key);
+    auto row = engine->GetRow(key);
     if (!row.has_value()) continue;
     if (min_ts > 0 &&
         std::none_of(row->cells().begin(), row->cells().end(), fresh)) {

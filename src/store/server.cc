@@ -50,40 +50,11 @@ Server::Server(ServerId id, sim::Simulation* sim, sim::Network* network,
       config_(config),
       metrics_(metrics),
       tracer_(tracer),
-      queue_(sim, config->cores_per_server) {
+      queue_(sim, config->cores_per_server),
+      replica_(id, sim, schema, config, metrics, tracer) {
   queue_.set_tracer(tracer_, static_cast<int>(id_));
   queue_.set_stage_histograms(&metrics_->stage_queue_wait,
                               &metrics_->stage_service);
-  // Row cache off (the default) means no cache object at all: every read
-  // takes the exact pre-cache code path, keeping same-seed runs bit-identical
-  // to a build without the feature.
-  if (config_->row_cache_entries > 0) {
-    row_cache_ =
-        std::make_unique<storage::RowCache>(config_->row_cache_entries);
-  }
-  // One local index fragment per index definition in the schema.
-  for (const std::string& table : schema_->TableNames()) {
-    for (const IndexDef& def : schema_->IndexesOn(table)) {
-      indexes_.push_back(
-          std::make_unique<index::LocalIndex>(def.table, def.column));
-    }
-  }
-}
-
-storage::Engine& Server::EngineFor(const std::string& table) {
-  auto it = engines_.find(table);
-  if (it == engines_.end()) {
-    it = engines_
-             .emplace(table,
-                      std::make_unique<storage::Engine>(config_->engine))
-             .first;
-    if (row_cache_ != nullptr) {
-      // All of this server's engines share the one cache, namespaced by
-      // table name.
-      it->second->set_row_cache(row_cache_.get(), table);
-    }
-  }
-  return *it->second;
 }
 
 std::string_view Server::PartitionViewFor(const std::string& table,
@@ -112,142 +83,6 @@ const std::vector<ServerId>& Server::ReplicasOf(const std::string& table,
   return entry.replicas;
 }
 
-SimTime Server::ReadServiceFor(const std::string& table,
-                               const Key& key) const {
-  if (row_cache_ != nullptr && row_cache_->Contains(table, key)) {
-    return config_->perf.read_cached_local;
-  }
-  return config_->perf.read_local;
-}
-
-void Server::WarmRowCache(const std::string& table, const Key& key) {
-  if (row_cache_ == nullptr) return;
-  // GetRow populates the cache as a side effect when the key exists.
-  EngineFor(table).GetRow(key);
-}
-
-// ---------------------------------------------------------------------------
-// Local replica handlers.
-// ---------------------------------------------------------------------------
-
-storage::Row Server::LocalRead(const std::string& table, const Key& key,
-                               const std::vector<ColumnName>& columns) {
-  metrics_->replica_reads++;
-  storage::Engine& engine = EngineFor(table);
-  const std::uint64_t hits_before =
-      row_cache_ != nullptr ? row_cache_->hits() : 0;
-  const std::uint64_t misses_before =
-      row_cache_ != nullptr ? row_cache_->misses() : 0;
-  storage::Row result;
-  if (columns.empty()) {
-    if (auto row = engine.GetRow(key)) result = *std::move(row);
-  } else {
-    for (const ColumnName& col : columns) {
-      if (auto cell = engine.GetCell(key, col)) {
-        result.Apply(col, *cell);
-      }
-    }
-  }
-  if (row_cache_ != nullptr) {
-    // Delta-sample the cache so per-column reads of one hot row still count
-    // as one logical probe each.
-    const std::uint64_t hit_delta = row_cache_->hits() - hits_before;
-    const std::uint64_t miss_delta = row_cache_->misses() - misses_before;
-    metrics_->row_cache_hits += hit_delta;
-    metrics_->row_cache_misses += miss_delta;
-    if (tracer_ != nullptr && tracer_->current() &&
-        (hit_delta > 0 || miss_delta > 0)) {
-      tracer_->Mark(tracer_->current(),
-                    hit_delta > 0 ? "cache.hit" : "cache.miss",
-                    static_cast<int>(id_), sim_->Now(), table + "/" + key);
-    }
-  }
-  return result;
-}
-
-void Server::LocalApply(const std::string& table, const Key& key,
-                        const storage::Row& cells) {
-  metrics_->replica_writes++;
-  storage::Engine& engine = EngineFor(table);
-
-  // Snapshot indexed-column values before the merge so the local index
-  // fragments can be maintained synchronously (Cassandra-style).
-  std::vector<std::pair<index::LocalIndex*, std::optional<Value>>> touched;
-  for (const auto& index : indexes_) {
-    if (index->table() != table) continue;
-    if (!cells.Get(index->column())) continue;  // column not written
-    std::optional<Value> before;
-    if (auto cell = engine.GetCell(key, index->column());
-        cell && !cell->tombstone) {
-      before = cell->value;
-    }
-    touched.emplace_back(index.get(), std::move(before));
-  }
-
-  engine.ApplyRow(key, cells);
-
-  for (auto& [index, before] : touched) {
-    std::optional<Value> after;
-    if (auto cell = engine.GetCell(key, index->column());
-        cell && !cell->tombstone) {
-      after = cell->value;
-    }
-    if (before != after) {
-      index->Update(key, before, after);
-      metrics_->index_updates++;
-    }
-  }
-}
-
-storage::Row Server::LocalReadThenApply(
-    const std::string& table, const Key& key,
-    const std::vector<ColumnName>& read_columns, const storage::Row& cells) {
-  storage::Row pre_image = LocalRead(table, key, read_columns);
-  LocalApply(table, key, cells);
-  return pre_image;
-}
-
-std::vector<storage::KeyedRow> Server::LocalScanPrefix(
-    const std::string& table, const Key& prefix) {
-  metrics_->replica_reads++;
-  std::vector<storage::KeyedRow> result;
-  EngineFor(table).ScanPrefix(prefix, [&](const Key& key,
-                                          const storage::Row& row) {
-    result.push_back(storage::KeyedRow{key, row});
-  });
-  return result;
-}
-
-std::vector<storage::KeyedRow> Server::LocalIndexProbe(
-    const std::string& table, const ColumnName& column, const Value& value) {
-  metrics_->index_fragment_probes++;
-  std::vector<storage::KeyedRow> result;
-  for (const auto& index : indexes_) {
-    if (index->table() != table || index->column() != column) continue;
-    storage::Engine& engine = EngineFor(table);
-    for (const Key& key : index->Lookup(value)) {
-      if (auto row = engine.GetRow(key)) {
-        result.push_back(storage::KeyedRow{key, *std::move(row)});
-      }
-    }
-    break;
-  }
-  return result;
-}
-
-std::vector<storage::KeyedRow> Server::LocalMatchScan(
-    const std::string& table, const ColumnName& column, const Value& value) {
-  metrics_->replica_reads++;
-  std::vector<storage::KeyedRow> result;
-  EngineFor(table).ForEach([&](const Key& key, const storage::Row& row) {
-    auto current = row.GetValue(column);
-    if (current && *current == value) {
-      result.push_back(storage::KeyedRow{key, row});
-    }
-  });
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 // Quorum read: a QuorumOp policy. The merge rule is LWW across the answered
 // slots; settlement pushes read repair to stale responders (never on abort —
@@ -264,16 +99,13 @@ void Server::CoordinateRead(
   spec.name = "read";
   spec.targets = ReplicasOf(table, key);
   spec.quorum = read_quorum;
-  spec.service = FixedService(config_->perf.read_local);
-  if (config_->row_cache_entries > 0) {
-    // A cached row costs read_cached_local on its replica instead of the
-    // full merge.
-    spec.service = [table, key](Server& s) {
-      return s.ReadServiceFor(table, key);
-    };
-  }
+  // A row cached on the replica costs read_cached_local there instead of
+  // the full merge.
+  spec.service = [table, key](Server& s) {
+    return s.replica().ReadServiceFor(table, key);
+  };
   spec.request = [table, key, columns = std::move(columns)](Server& s) {
-    return s.LocalRead(table, key, columns);
+    return s.replica().LocalRead(table, key, columns);
   };
   spec.quorum_error = "read quorum not reached";
   spec.on_quorum = [callback](Op& op) {
@@ -315,20 +147,6 @@ void Server::CoordinateRead(
 // spec carries the hint payload).
 // ---------------------------------------------------------------------------
 
-// Per-replica service demand of applying `cells` to `table`: the base write
-// plus synchronous maintenance of each local index fragment whose column is
-// being written (Cassandra-style).
-SimTime Server::WriteServiceFor(const std::string& table,
-                                const storage::Row& cells) const {
-  SimTime service = config_->perf.write_local;
-  for (const IndexDef& index : schema_->IndexesOn(table)) {
-    if (cells.Get(index.column)) {
-      service += config_->perf.index_update_local;
-    }
-  }
-  return service;
-}
-
 void Server::CoordinateWrite(const std::string& table, const Key& key,
                              const storage::Row& cells, int write_quorum,
                              std::function<void(Status)> callback) {
@@ -337,7 +155,7 @@ void Server::CoordinateWrite(const std::string& table, const Key& key,
   spec.name = "write";
   spec.targets = ReplicasOf(table, key);
   spec.quorum = write_quorum;
-  const SimTime service = WriteServiceFor(table, cells);
+  const SimTime service = replica_.WriteServiceFor(table, cells);
   spec.send = [table, key, cells, service](
                   Server& coord, ServerId to,
                   std::function<void(bool)> on_reply) {
@@ -361,7 +179,7 @@ void Server::SendReplicaWrite(ServerId to, const std::string& table,
     CallPeer<bool>(
         to, FixedService(service),
         [table, key, cells](Server& s) {
-          s.LocalApply(table, key, cells);
+          s.replica().LocalApply(table, key, cells);
           return true;
         },
         std::move(on_ack));
@@ -427,7 +245,7 @@ void Server::FlushReplicaWrites(ServerId to) {
       to, FixedService(service),
       [batch = std::move(batch)](Server& s) {
         for (const PendingReplicaWrite& item : batch) {
-          s.LocalApply(item.table, item.key, item.cells);
+          s.replica().LocalApply(item.table, item.key, item.cells);
         }
         return true;
       },
@@ -456,18 +274,17 @@ void Server::CoordinateReadThenWrite(
   spec.name = "get_then_put";
   spec.targets = ReplicasOf(table, key);
   spec.quorum = write_quorum;
-  const SimTime write_service = WriteServiceFor(table, cells);
-  spec.service = FixedService(config_->perf.read_local + write_service);
-  if (config_->row_cache_entries > 0) {
-    // The write half is schema-determined (identical on every server); only
-    // the read half depends on the target's cache.
-    spec.service = [table, key, write_service](Server& s) {
-      return s.ReadServiceFor(table, key) + write_service;
-    };
-  }
+  // The write half is schema-determined (identical on every server); only
+  // the read half depends on the target's cache.
+  const SimTime write_service = replica_.WriteServiceFor(table, cells);
+  spec.service = [table, key, write_service](Server& s) {
+    return s.replica().ReadServiceFor(table, key) + write_service;
+  };
   spec.request = [table, key, read_columns = std::move(read_columns),
                   cells](Server& s) {
-    return s.LocalReadThenApply(table, key, read_columns, cells);
+    storage::Row pre_image = s.replica().LocalRead(table, key, read_columns);
+    s.replica().LocalApply(table, key, cells);
+    return pre_image;
   };
   spec.quorum_error = "get-then-put quorum not reached";
   spec.hint_table = table;
@@ -510,7 +327,7 @@ void Server::CoordinateScan(
                        per_row =
                            config_->perf.view_scan_per_row](Server& s) {
       SimTime rows = 0;
-      s.EngineFor(table).ScanPrefix(
+      s.replica().EngineFor(table).ScanPrefix(
           partition_prefix, [&rows](const Key&, const storage::Row&) {
             ++rows;
           });
@@ -518,7 +335,7 @@ void Server::CoordinateScan(
     };
   }
   spec.request = [table, partition_prefix](Server& s) {
-    return s.LocalScanPrefix(table, partition_prefix);
+    return s.replica().LocalScanPrefix(table, partition_prefix);
   };
   spec.quorum_error = "scan quorum not reached";
   spec.on_quorum = [callback](Op& op) {
@@ -552,11 +369,10 @@ void Server::CoordinateScan(
       const std::uint64_t payloads = fixes.size();
       const SimTime service = coord.config().perf.write_local *
                               static_cast<SimTime>(fixes.size());
-      std::string t = table;
       coord.CallPeer<bool>(
           op.targets()[i], FixedService(service),
-          [t, fixes = std::move(fixes)](Server& s) {
-            for (const auto& kr : fixes) s.LocalApply(t, kr.key, kr.row);
+          [table, fixes = std::move(fixes)](Server& s) {
+            s.replica().ApplyRows(table, fixes);
             return true;
           },
           [](bool) {}, payloads);
@@ -610,24 +426,9 @@ void Server::CoordinateViewScatterScan(
     std::function<void(StatusOr<ScatterScanResult>)> callback) {
   MVSTORE_CHECK(!shard_prefixes.empty()) << "scatter scan needs a prefix";
   const int total = static_cast<int>(shard_prefixes.size());
-  if (shard_prefixes.size() == 1) {
-    // One shard: partial coverage is impossible — either the scan answers
-    // the whole partition or the query fails, allow_partial or not.
-    CoordinateScan(table, shard_prefixes[0], read_quorum,
-                   [callback = std::move(callback)](
-                       StatusOr<std::vector<storage::KeyedRow>> scan) {
-                     if (!scan.ok()) {
-                       callback(scan.status());
-                       return;
-                     }
-                     ScatterScanResult result;
-                     result.rows = *std::move(scan);
-                     result.total_shards = 1;
-                     callback(std::move(result));
-                   });
-    return;
-  }
-  metrics_->view_scatter_scans++;
+  // One shard (an unsharded view) is a plain partition scan, not a scatter:
+  // it cannot be partial, as its one failure is all shards failing.
+  if (total > 1) metrics_->view_scatter_scans++;
   struct Gather {
     std::vector<std::vector<storage::KeyedRow>> results;
     std::vector<bool> ok;
@@ -692,7 +493,7 @@ void Server::HandleClientIndexGet(
   auto reply = WrapReply(std::move(callback));
   Enqueue(config_->perf.coordinator_op, [this, table, column, value,
                                          reply = std::move(reply)]() mutable {
-    CoordinateBroadcastMatch("index_scan", &Server::LocalIndexProbe,
+    CoordinateBroadcastMatch("index_scan", &Replica::LocalIndexProbe,
                              config_->perf.index_scan_local,
                              "index fragments unreachable", table, column,
                              value, std::move(reply));
@@ -714,7 +515,7 @@ void Server::CoordinateBroadcastMatch(
   spec.quorum = static_cast<int>(spec.targets.size());
   spec.service = FixedService(service);
   spec.request = [probe, table, column, value](Server& server) {
-    return (server.*probe)(table, column, value);
+    return (server.replica().*probe)(table, column, value);
   };
   spec.quorum_error = std::move(quorum_error);
   spec.on_quorum = [column, value, callback](Op& op) {
@@ -1003,24 +804,14 @@ void Server::ArmPeriodic(SimTime delay, SimTime interval,
 }
 
 void Server::RunCompactionRound() {
-  for (const auto& [table, engine] : engines_) {
+  for (const auto& [table, engine] : replica_.engines()) {
     storage::Engine* eng = engine.get();
-    // Demand scales with the merge width; it contends with foreground work
-    // on the same cores (the point of modelling compaction at all).
-    const SimTime demand =
-        config_->perf.compaction_service *
-        static_cast<SimTime>(std::max<std::size_t>(1, eng->num_runs()));
+    const SimTime demand = replica_.CompactionDemand(*eng);
     Enqueue(demand, [this, eng, demand] {
       // Both clocks are evaluated at execution time, not scheduling time:
-      // the GC cutoff in the client-timestamp domain, and the purge floor
-      // from whatever hints are STILL pending when the merge actually runs.
-      const Timestamp now = kClientTimestampEpoch + sim_->Now();
-      const storage::GcStats stats =
-          eng->Compact(now, hints_.OldestTimestamp());
-      metrics_->compactions_run++;
-      metrics_->tombstones_purged += stats.tombstones_purged;
-      metrics_->tombstone_purge_deferred += stats.tombstones_deferred;
-      metrics_->stage_compaction.Record(demand);
+      // the GC cutoff, and the purge floor from whatever hints are STILL
+      // pending when the merge actually runs.
+      replica_.Compact(*eng, hints_.OldestTimestamp(), demand);
     });
   }
 }
@@ -1051,7 +842,7 @@ void Server::Crash() {
   if (view_hook_ != nullptr) view_hook_->OnServerCrash(this);
   Shutdown();
   // Memtables die too (the commit logs and flushed runs are durable).
-  for (auto& [table, engine] : engines_) engine->LoseVolatileState();
+  replica_.LoseVolatileState();
   freshness_cache_.by_view.clear();
 }
 
@@ -1088,11 +879,8 @@ void Server::Restart() {
   // Crash() already bumped.
   network_->SetEndpointDown(id_, false);
 
-  // Recovery: replay each table's commit log into the fresh memtable
-  // (idempotent under LWW; the log was truncated at the last flush).
-  for (auto& [table, engine] : engines_) {
-    metrics_->wal_cells_replayed += engine->RecoverFromLog();
-  }
+  // Recovery: replay each table's commit log into the fresh memtable.
+  replica_.RecoverFromLog();
 
   // Catch up with the writes this replica missed while down: re-arm the
   // periodic ticks and run one anti-entropy round right away (a draining

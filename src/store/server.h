@@ -1,5 +1,5 @@
-// A storage server: replica storage, local secondary-index fragments, and
-// the coordinator role.
+// A storage server: the coordinator role around one Replica (storage and
+// local secondary-index fragments, see store/replica.h).
 //
 // Every server can coordinate any request (multi-master, Section II): the
 // coordinator locates the N replicas via the ring, fans the request out, and
@@ -25,11 +25,9 @@
 #include "common/unique_fn.h"
 #include "common/trace.h"
 #include "common/types.h"
-#include "index/local_index.h"
 #include "sim/network.h"
 #include "sim/service_queue.h"
 #include "sim/simulation.h"
-#include "storage/engine.h"
 #include "store/anti_entropy.h"
 #include "store/config.h"
 #include "store/freshness.h"
@@ -37,6 +35,7 @@
 #include "store/hooks.h"
 #include "store/member_streamer.h"
 #include "store/metrics.h"
+#include "store/replica.h"
 #include "store/ring.h"
 #include "store/schema.h"
 
@@ -92,6 +91,10 @@ class Server {
 
   /// Installed by the Cluster after construction; may be null (no views).
   void set_view_hook(ViewMaintenanceHook* hook) { view_hook_ = hook; }
+
+  /// This server's storage: engines, index fragments, row cache and the
+  /// local handlers peer messages run.
+  Replica& replica() { return replica_; }
 
   // ---------------------------------------------------------------------
   // Crash-stop fault model.
@@ -169,6 +172,8 @@ class Server {
   /// All servers of the cluster, indexed by ServerId (set by the Cluster;
   /// used to address peers).
   void set_peers(const std::vector<Server*>* peers) { peers_ = peers; }
+  /// Server `id` of the cluster.
+  const Server& peer(ServerId id) const { return *(*peers_)[id]; }
 
   // ---------------------------------------------------------------------
   // Client-facing entry points (invoked on the coordinator, typically via
@@ -243,7 +248,8 @@ class Server {
   /// CoordinateScan QuorumOp per sub-shard prefix, answered with a streaming
   /// k-way merge of the per-shard sorted results (duplicate keys LWW-merge;
   /// by construction sub-shard key spaces are disjoint). A single prefix
-  /// degenerates to CoordinateScan verbatim, so unsharded views pay nothing.
+  /// (an unsharded view) takes the same path with one scan, and is not
+  /// counted in `view_scatter_scans`.
   ///
   /// With `allow_partial` false, fails with the first sub-scan error: a
   /// partition's answer must cover every shard or rows silently vanish from
@@ -258,7 +264,7 @@ class Server {
 
   /// A local probe of `table` for rows whose `column` equals `value`:
   /// LocalIndexProbe (index fragment) or LocalMatchScan (whole fragment).
-  using MatchProbe = std::vector<storage::KeyedRow> (Server::*)(
+  using MatchProbe = std::vector<storage::KeyedRow> (Replica::*)(
       const std::string& table, const ColumnName& column, const Value& value);
 
   /// Broadcast match as a coordinator primitive: every ring member runs
@@ -272,40 +278,6 @@ class Server {
       std::string quorum_error, const std::string& table,
       const ColumnName& column, const Value& value,
       std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback);
-
-  // ---------------------------------------------------------------------
-  // Local replica handlers (run on THIS server under its service queue;
-  // invoked via peer messages).
-  // ---------------------------------------------------------------------
-
-  /// Local read of requested columns (all columns when empty). Returns an
-  /// empty row when the key is absent.
-  storage::Row LocalRead(const std::string& table, const Key& key,
-                         const std::vector<ColumnName>& columns);
-
-  /// Local LWW apply + synchronous maintenance of local index fragments.
-  void LocalApply(const std::string& table, const Key& key,
-                  const storage::Row& cells);
-
-  /// LocalRead of `read_columns` followed atomically by LocalApply.
-  storage::Row LocalReadThenApply(const std::string& table, const Key& key,
-                                  const std::vector<ColumnName>& read_columns,
-                                  const storage::Row& cells);
-
-  /// Local merged prefix scan.
-  std::vector<storage::KeyedRow> LocalScanPrefix(const std::string& table,
-                                                 const Key& prefix);
-
-  /// Probe this server's index fragment; returns matching local rows.
-  std::vector<storage::KeyedRow> LocalIndexProbe(const std::string& table,
-                                                 const ColumnName& column,
-                                                 const Value& value);
-
-  /// Full local scan of `table` for rows whose `column` equals `value`
-  /// (no index consulted).
-  std::vector<storage::KeyedRow> LocalMatchScan(const std::string& table,
-                                                const ColumnName& column,
-                                                const Value& value);
 
   /// Sends `handler` to run on peer `to` under its service queue; the
   /// returned value travels back and `on_reply` runs here. Either leg may
@@ -322,23 +294,15 @@ class Server {
                 UniqueFn<void(Response)> on_reply,
                 std::uint64_t payloads = 1);
 
-  /// Service demand of a local point read of (table, key): the cached rate
-  /// when this server's row cache holds the key, the full rate otherwise.
-  SimTime ReadServiceFor(const std::string& table, const Key& key) const;
-
   /// This server's advisory freshness cache (ISSUE 7), merged from gossip
   /// the maintenance engine piggybacks on propagation-completion traffic.
   /// Volatile: cleared on crash.
   FreshnessCache& freshness_cache() { return freshness_cache_; }
 
-  /// Populates the row cache for a bootstrap-loaded key (loading applies
-  /// rows, and applies invalidate — warming restores the "hot replica"
-  /// steady state the benches measure from). No-op without a cache.
-  void WarmRowCache(const std::string& table, const Key& key);
-
   /// One clock-driven compaction round: flush + merge + tombstone GC on
-  /// every engine, charged through the service queue. Exposed for tests;
-  /// also runs periodically when `compaction_interval` > 0.
+  /// every engine, each charged through the service queue. The purge floor
+  /// is the oldest pending hint's timestamp. Exposed for tests; also runs
+  /// periodically when `compaction_interval` > 0.
   void RunCompactionRound();
 
   /// Runs `fn` on this server after (queueing +) `service` time — unless the
@@ -374,9 +338,10 @@ class Server {
   /// Majority quorum for the replication factor (view maintenance ops).
   int MajorityQuorum() const { return config_->replication_factor / 2 + 1; }
 
-  /// Direct access to the local storage engine (bootstrap loading, scrub,
-  /// tests). Creates the engine on first use.
-  storage::Engine& EngineFor(const std::string& table);
+  /// replica().EngineFor(table).
+  storage::Engine& EngineFor(const std::string& table) {
+    return replica_.EngineFor(table);
+  }
 
   /// (Re-)arms the periodic background ticks for the current incarnation,
   /// in a fixed order: anti-entropy, hint replay, compaction. A no-op for a
@@ -401,10 +366,8 @@ class Server {
   /// private registration primitives below.
   template <typename Response>
   friend class QuorumOp;
-  /// The background subsystems run on this server's engines, ticks and
-  /// lifecycle.
-  friend class AntiEntropy;
-  friend class HintStore;
+  /// Membership streaming drives the lifecycle: the membership state, the
+  /// process stop of a completed leave, and the view hook's join/leave.
   friend class MemberStreamer;
 
   /// Wraps a reply callback so that assembling the reply charges coordinator
@@ -437,11 +400,6 @@ class Server {
   std::uint64_t RegisterInflightOp(std::function<void()> abort,
                                    std::function<void(ServerId)> retarget);
   void DeregisterInflightOp(std::uint64_t op_id);
-
-  /// Per-replica service demand of a write (base apply + synchronous local
-  /// index maintenance for written indexed columns).
-  SimTime WriteServiceFor(const std::string& table,
-                          const storage::Row& cells) const;
 
   /// The partition key used for ring placement: a slice of `key` (valid
   /// while `key` lives).
@@ -483,11 +441,7 @@ class Server {
   const std::vector<Server*>* peers_ = nullptr;
 
   sim::ServiceQueue queue_;
-  /// Replica-local row cache shared by every engine of this server; null
-  /// when `row_cache_entries` == 0 (caching compiled out of the read path).
-  std::unique_ptr<storage::RowCache> row_cache_;
-  std::map<std::string, std::unique_ptr<storage::Engine>> engines_;
-  std::vector<std::unique_ptr<index::LocalIndex>> indexes_;
+  Replica replica_;
   /// Per-destination replica-write lanes (write_batch_max > 1 only);
   /// cleared on crash — parked mutations die with the coordinator.
   std::map<ServerId, ReplicaWriteLane> write_lanes_;

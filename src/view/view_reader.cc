@@ -283,14 +283,14 @@ void ViewReader::FallbackRead(store::Server* coordinator,
   const store::PerfModel& perf = cluster_->config().perf;
   if (si) {
     coordinator->CoordinateBroadcastMatch(
-        "index_scan", &store::Server::LocalIndexProbe, perf.index_scan_local,
+        "index_scan", &store::Replica::LocalIndexProbe, perf.index_scan_local,
         "index fragments unreachable", view.base_table, view.view_key_column,
         view_key, std::move(on_rows));
   } else {
     // Every server walks its whole local fragment of the table — the
     // router's priced-in worst case.
     coordinator->CoordinateBroadcastMatch(
-        "base_match_scan", &store::Server::LocalMatchScan,
+        "base_match_scan", &store::Replica::LocalMatchScan,
         perf.base_scan_local, "base-scan replicas unreachable",
         view.base_table, view.view_key_column, view_key, std::move(on_rows));
   }
@@ -320,8 +320,8 @@ void ViewReader::DoViewGet(
     std::function<void(StatusOr<ViewScanResult>)> callback) {
   const store::ViewDef* view_def = &view;
   // Sharded views scatter one scan per sub-shard and merge at the
-  // coordinator; a single-shard view degenerates to the classic one-prefix
-  // scan inside CoordinateViewScatterScan.
+  // coordinator; a single-shard view sends its one prefix scan through the
+  // same path.
   std::vector<Key> prefixes;
   prefixes.reserve(static_cast<std::size_t>(std::max(1, view.shard_count)));
   for (int shard = 0; shard < std::max(1, view.shard_count); ++shard) {

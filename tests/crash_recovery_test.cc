@@ -451,7 +451,7 @@ TEST(AntiEntropyRegressionTest, XorCancellingRowSetIsCaughtByCountedDigest) {
     if (!subset[i]) continue;
     xor_fold ^= hashes[i];
     ++subset_size;
-    t.cluster.server(holder).LocalApply("t", keys[i], rows[i]);
+    t.cluster.server(holder).replica().LocalApply("t", keys[i], rows[i]);
   }
   ASSERT_GT(subset_size, 0u);
   // The hazard, demonstrated: under the old XOR fold both replicas computed

@@ -126,7 +126,7 @@ TEST(IndexEndToEndTest, StaleFragmentHitsConvergeViaAntiEntropy) {
   storage::Row newer;
   newer.Apply("assigned_to",
               storage::Cell::Live("grace", store::kClientTimestampEpoch + 1));
-  tc.cluster.server(replicas[0]).LocalApply("ticket", "5", newer);
+  tc.cluster.server(replicas[0]).replica().LocalApply("ticket", "5", newer);
 
   auto client = tc.cluster.NewClient();
   // The new value is immediately findable through the updated fragment.

@@ -133,6 +133,7 @@ TEST(StoreTest, ReadRepairConvergesReplicas) {
   // read repair pushes it to the others.
   const auto replicas = tc.cluster.server(0).ReplicasOf("t", "k");
   tc.cluster.server(replicas[0])
+      .replica()
       .LocalApply("t", "k",
                   [] {
                     storage::Row row;

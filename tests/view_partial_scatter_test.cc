@@ -167,5 +167,42 @@ TEST(ViewPartialScatterTest, RecoveryRestoresFullCoverageAndFreshness) {
   EXPECT_GT(healed.freshness, kNullTimestamp);
 }
 
+// An unsharded view's partition is one scan, so that scan failing is every
+// shard failing: a kEventual read must fail rather than serve an empty
+// "partial" answer, and nothing counts as a scatter.
+TEST(ViewPartialScatterTest, UnshardedEventualReadFailsWhenItsScanFails) {
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.rpc_timeout = Millis(50);
+  TestCluster t(config, test::TicketSchema(/*with_index=*/false,
+                                           /*with_view=*/true,
+                                           /*view_shards=*/1));
+  auto writer = t.cluster.NewClient();
+  for (int k = 0; k < 8; ++k) {
+    ASSERT_TRUE(writer
+                    ->PutSync("ticket", std::to_string(k),
+                              {{"assigned_to", std::string("hot")},
+                               {"status", std::string("open")}},
+                              WriteOptions{})
+                    .ok());
+  }
+  t.Quiesce();
+
+  const auto& replicas = t.cluster.server(0).ReplicasOf(
+      "assigned_to_view", store::ShardedViewPartitionPrefix("hot", 0, 1));
+  const ServerId victim = replicas.front();
+  t.cluster.CrashServer(victim);
+
+  auto client =
+      t.cluster.NewClient(victim == 0 ? ServerId{1} : ServerId{0});
+  client->set_request_timeout(Seconds(2));
+  // Read quorum 3 = every replica, one of which is down.
+  auto result = client->QuerySync(QuerySpec::View("assigned_to_view", "hot"),
+                                  {.quorum = 3});
+  EXPECT_FALSE(result.ok()) << result.records.size() << " records served";
+  EXPECT_EQ(result.status.message(), "scan quorum not reached");
+  EXPECT_EQ(t.cluster.metrics().view_scatter_scans, 0u);
+  EXPECT_EQ(t.cluster.metrics().view_scatter_partial, 0u);
+}
+
 }  // namespace
 }  // namespace mvstore
